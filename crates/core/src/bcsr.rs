@@ -1,6 +1,7 @@
 //! Blocked compressed sparse row (BCSR).
 
 use std::io::{Read, Write};
+use std::ops::Range;
 
 use crate::{CooMatrix, CsrMatrix, Index, Scalar, SparseError, SparseFormat, SparseMatrix};
 
@@ -46,67 +47,28 @@ impl<T: Scalar, I: Index> BcsrMatrix<T, I> {
         if r == 0 || c == 0 {
             return Err(SparseError::InvalidBlockSize { r, c });
         }
-        let rows = csr.rows();
-        let cols = csr.cols();
+        let (rows, cols) = (csr.rows(), csr.cols());
         let block_rows = rows.div_ceil(r);
-        let block_cols = cols.div_ceil(c);
+        let mut slots = BlockSlots::new(csr, r, c);
 
-        // Pass 1: per block-row, discover the sorted set of occupied block
-        // columns. `slot_of` is a reusable scatter array (block col -> slot
-        // within this block-row, or usize::MAX), reset via the touched list.
+        // Pass 1: each block-row's occupied block columns, which fixes the
+        // block count before any value is stored.
         let mut row_ptr = Vec::with_capacity(block_rows + 1);
         row_ptr.push(I::from_usize(0));
         let mut col_idx: Vec<I> = Vec::new();
-        let mut slot_of = vec![usize::MAX; block_cols];
-        let mut touched: Vec<usize> = Vec::new();
-
-        // Collected per block-row, then re-walked in pass 2 per block-row to
-        // fill values; doing both passes block-row-at-a-time keeps the
-        // scatter array hot and the value writes sequential per block-row.
-        let mut values: Vec<T> = Vec::new();
-        let block_area = r * c;
-
         for bi in 0..block_rows {
-            let row_lo = bi * r;
-            let row_hi = (row_lo + r).min(rows);
-
-            touched.clear();
-            for i in row_lo..row_hi {
-                for &col in csr.row(i).0 {
-                    let bc = col.as_usize() / c;
-                    if slot_of[bc] == usize::MAX {
-                        slot_of[bc] = 0; // mark; real slot assigned after sort
-                        touched.push(bc);
-                    }
-                }
-            }
-            touched.sort_unstable();
-            let base_block = col_idx.len();
-            for (slot, &bc) in touched.iter().enumerate() {
-                slot_of[bc] = slot;
-                col_idx.push(I::from_usize(bc));
-            }
-            values.resize(values.len() + touched.len() * block_area, T::ZERO);
-
-            for i in row_lo..row_hi {
-                let local_r = i - row_lo;
-                let (rcols, rvals) = csr.row(i);
-                for (&col, &v) in rcols.iter().zip(rvals) {
-                    let cu = col.as_usize();
-                    let bc = cu / c;
-                    let local_c = cu % c;
-                    let block = base_block + slot_of[bc];
-                    // `+=`, not `=`: COO (and thus CSR, which preserves it)
-                    // may carry duplicate coordinates, and their sum is the
-                    // entry every summing kernel computes.
-                    values[block * block_area + local_r * c + local_c] += v;
-                }
-            }
-
-            for &bc in &touched {
-                slot_of[bc] = usize::MAX;
-            }
+            col_idx.extend(slots.occupied(bi).iter().map(|&bc| I::from_usize(bc)));
             row_ptr.push(I::from_usize(col_idx.len()));
+        }
+
+        // Pass 2: scatter each block-row into `values`, allocated once.
+        // Zeroing a block-row just before its scatter keeps it in cache.
+        let area = r * c;
+        let mut values = Vec::with_capacity(col_idx.len() * area);
+        for bi in 0..block_rows {
+            let (lo, hi) = (row_ptr[bi].as_usize(), row_ptr[bi + 1].as_usize());
+            values.resize(hi * area, T::ZERO);
+            slots.scatter(bi, &col_idx[lo..hi], &mut values[lo * area..]);
         }
 
         Ok(BcsrMatrix {
@@ -371,6 +333,78 @@ impl<T: Scalar, I: Index> BcsrMatrix<T, I> {
             values,
             nnz,
         })
+    }
+}
+
+/// The scatter array the BCSR and BELL builds share. `slot_of[bc]` is
+/// block column `bc`'s slot within the block-row being built, or
+/// `usize::MAX`; `touched` lists the marked columns, so resetting costs
+/// O(blocks) rather than O(block columns).
+pub(crate) struct BlockSlots<'a, T, I> {
+    csr: &'a CsrMatrix<T, I>,
+    r: usize,
+    c: usize,
+    slot_of: Vec<usize>,
+    touched: Vec<usize>,
+}
+
+impl<'a, T: Scalar, I: Index> BlockSlots<'a, T, I> {
+    /// Slots for `csr` cut into `r × c` blocks.
+    pub(crate) fn new(csr: &'a CsrMatrix<T, I>, r: usize, c: usize) -> Self {
+        BlockSlots {
+            csr,
+            r,
+            c,
+            slot_of: vec![usize::MAX; csr.cols().div_ceil(c)],
+            touched: Vec::new(),
+        }
+    }
+
+    /// The rows of block-row `bi`.
+    fn rows(&self, bi: usize) -> Range<usize> {
+        bi * self.r..((bi + 1) * self.r).min(self.csr.rows())
+    }
+
+    /// The block columns block-row `bi` occupies, ascending.
+    pub(crate) fn occupied(&mut self, bi: usize) -> &[usize] {
+        self.touched.clear();
+        for i in self.rows(bi) {
+            for &col in self.csr.row(i).0 {
+                let bc = col.as_usize() / self.c;
+                if self.slot_of[bc] == usize::MAX {
+                    self.slot_of[bc] = 0;
+                    self.touched.push(bc);
+                }
+            }
+        }
+        for &bc in &self.touched {
+            self.slot_of[bc] = usize::MAX;
+        }
+        self.touched.sort_unstable();
+        &self.touched
+    }
+
+    /// Sum block-row `bi`'s entries into its dense row-major blocks:
+    /// `block_cols` lists the block-row's [`occupied`](Self::occupied)
+    /// block columns and block `slot` starts at `values[slot * r * c]`.
+    pub(crate) fn scatter(&mut self, bi: usize, block_cols: &[I], values: &mut [T]) {
+        for (slot, &bc) in block_cols.iter().enumerate() {
+            self.slot_of[bc.as_usize()] = slot;
+        }
+        let (c, area) = (self.c, self.r * self.c);
+        for (local_r, i) in self.rows(bi).enumerate() {
+            let (rcols, rvals) = self.csr.row(i);
+            for (&col, &v) in rcols.iter().zip(rvals) {
+                let cu = col.as_usize();
+                // `+=`, not `=`: COO (and thus CSR, which preserves it)
+                // may carry duplicate coordinates, and their sum is the
+                // entry every summing kernel computes.
+                values[self.slot_of[cu / c] * area + local_r * c + cu % c] += v;
+            }
+        }
+        for &bc in block_cols {
+            self.slot_of[bc.as_usize()] = usize::MAX;
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Blocked-ELLPACK (BELL): ELL padding applied to dense blocks.
 
+use crate::bcsr::BlockSlots;
 use crate::{CooMatrix, CsrMatrix, Index, Scalar, SparseError, SparseFormat, SparseMatrix};
 
 /// A sparse matrix in Blocked-ELLPACK format.
@@ -35,68 +36,40 @@ impl<T: Scalar, I: Index> BellMatrix<T, I> {
         if r == 0 || c == 0 {
             return Err(SparseError::InvalidBlockSize { r, c });
         }
-        let rows = csr.rows();
-        let cols = csr.cols();
+        let (rows, cols) = (csr.rows(), csr.cols());
         let strips = rows.div_ceil(r);
         let block_cols = cols.div_ceil(c);
+        let mut slots = BlockSlots::new(csr, r, c);
 
-        // Pass 1: occupied block columns per strip.
-        let mut strip_blocks: Vec<Vec<usize>> = Vec::with_capacity(strips);
-        let mut seen = vec![false; block_cols];
+        // Pass 1: each strip's occupied block columns, CSR-style; the
+        // widest strip fixes the padded layout before any value is stored.
+        let mut strip_ptr = Vec::with_capacity(strips + 1);
+        strip_ptr.push(0);
+        let mut occupied: Vec<I> = Vec::new();
         for s in 0..strips {
-            let row_lo = s * r;
-            let row_hi = (row_lo + r).min(rows);
-            let mut occ: Vec<usize> = Vec::new();
-            for i in row_lo..row_hi {
-                for &col in csr.row(i).0 {
-                    let bc = col.as_usize() / c;
-                    if !seen[bc] {
-                        seen[bc] = true;
-                        occ.push(bc);
-                    }
-                }
-            }
-            occ.sort_unstable();
-            for &bc in &occ {
-                seen[bc] = false;
-            }
-            strip_blocks.push(occ);
+            occupied.extend(slots.occupied(s).iter().map(|&bc| I::from_usize(bc)));
+            strip_ptr.push(occupied.len());
         }
-        let block_width = strip_blocks.iter().map(Vec::len).max().unwrap_or(0);
+        let block_width = strip_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
 
-        // Pass 2: scatter values into the padded strip-major layout.
+        // Pass 2: copy each strip's block columns into its padded slots and
+        // scatter its values; both outputs are allocated once. `values` is
+        // zeroed in one allocation rather than strip by strip, so padding
+        // blocks (most of the array on a skewed matrix) are never written.
         let area = r * c;
-        let mut block_col_idx = vec![I::default(); strips * block_width];
+        let mut block_col_idx = Vec::with_capacity(strips * block_width);
         let mut values = vec![T::ZERO; strips * block_width * area];
-        for (s, occ) in strip_blocks.iter().enumerate() {
-            let base = s * block_width;
-            for (slot, &bc) in occ.iter().enumerate() {
-                block_col_idx[base + slot] = I::from_usize(bc);
-            }
+        for s in 0..strips {
+            let occ = &occupied[strip_ptr[s]..strip_ptr[s + 1]];
             // ELL-style locality padding: repeat the strip's last real block
             // column (or the clamped diagonal block for empty strips).
             let pad = occ
                 .last()
                 .copied()
-                .unwrap_or_else(|| s.min(block_cols.saturating_sub(1)));
-            for slot in occ.len()..block_width {
-                block_col_idx[base + slot] = I::from_usize(pad);
-            }
-
-            let row_lo = s * r;
-            let row_hi = (row_lo + r).min(rows);
-            for i in row_lo..row_hi {
-                let local_r = i - row_lo;
-                let (rcols, rvals) = csr.row(i);
-                for (&col, &v) in rcols.iter().zip(rvals) {
-                    let cu = col.as_usize();
-                    let bc = cu / c;
-                    let slot = occ.binary_search(&bc).expect("pass 1 recorded this block");
-                    // `+=` so duplicate COO coordinates sum instead of the
-                    // last one winning.
-                    values[(base + slot) * area + local_r * c + (cu % c)] += v;
-                }
-            }
+                .unwrap_or_else(|| I::from_usize(s.min(block_cols.saturating_sub(1))));
+            block_col_idx.extend_from_slice(occ);
+            block_col_idx.resize((s + 1) * block_width, pad);
+            slots.scatter(s, occ, &mut values[s * block_width * area..]);
         }
 
         Ok(BellMatrix {

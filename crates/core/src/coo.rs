@@ -23,12 +23,17 @@ pub struct CooMatrix<T, I = usize> {
 impl<T: Scalar, I: Index> CooMatrix<T, I> {
     /// An empty matrix of the given shape.
     pub fn new(rows: usize, cols: usize) -> Self {
+        Self::with_capacity(rows, cols, 0)
+    }
+
+    /// An empty matrix with room for `capacity` entries.
+    pub(crate) fn with_capacity(rows: usize, cols: usize, capacity: usize) -> Self {
         CooMatrix {
             rows,
             cols,
-            row_idx: Vec::new(),
-            col_idx: Vec::new(),
-            values: Vec::new(),
+            row_idx: Vec::with_capacity(capacity),
+            col_idx: Vec::with_capacity(capacity),
+            values: Vec::with_capacity(capacity),
         }
     }
 
@@ -41,10 +46,7 @@ impl<T: Scalar, I: Index> CooMatrix<T, I> {
         cols: usize,
         triplets: &[(usize, usize, T)],
     ) -> Result<Self, SparseError> {
-        let mut m = CooMatrix::new(rows, cols);
-        m.row_idx.reserve(triplets.len());
-        m.col_idx.reserve(triplets.len());
-        m.values.reserve(triplets.len());
+        let mut m = CooMatrix::with_capacity(rows, cols, triplets.len());
         for &(r, c, v) in triplets {
             m.push(r, c, v)?;
         }

@@ -43,28 +43,30 @@ impl<T: Scalar, I: Index> EllMatrix<T, I> {
         Ok(Self::build(csr, width))
     }
 
-    /// Shared body once `width` is known to cover the fullest row.
-    fn build(csr: &CsrMatrix<T, I>, width: usize) -> Self {
+    /// Shared body: each row keeps its first `min(row_nnz, width)` entries,
+    /// so a `width` below the fullest row truncates (HYB spills the rest to
+    /// its tail) and a covering `width` copies the CSR exactly.
+    pub(crate) fn build(csr: &CsrMatrix<T, I>, width: usize) -> Self {
         let rows = csr.rows();
         let cols = csr.cols();
         let mut col_idx = vec![I::default(); rows * width];
         let mut values = vec![T::ZERO; rows * width];
+        let mut nnz = 0;
         for i in 0..rows {
             let (rcols, rvals) = csr.row(i);
+            let kept = rcols.len().min(width);
+            let (rcols, rvals) = (&rcols[..kept], &rvals[..kept]);
             let base = i * width;
-            for (s, (&c, &v)) in rcols.iter().zip(rvals).enumerate() {
-                col_idx[base + s] = c;
-                values[base + s] = v;
-            }
+            col_idx[base..base + kept].copy_from_slice(rcols);
+            values[base..base + kept].copy_from_slice(rvals);
             // Pad with the last real column of the row (or a clamped
             // diagonal position for empty rows) so padded loads stay local.
             let pad_col = rcols
                 .last()
                 .map(|c| c.as_usize())
                 .unwrap_or_else(|| i.min(cols.saturating_sub(1)));
-            for s in rcols.len()..width {
-                col_idx[base + s] = I::from_usize(pad_col);
-            }
+            col_idx[base + kept..base + width].fill(I::from_usize(pad_col));
+            nnz += kept;
         }
         EllMatrix {
             rows,
@@ -72,7 +74,7 @@ impl<T: Scalar, I: Index> EllMatrix<T, I> {
             width,
             col_idx,
             values,
-            nnz: csr.nnz(),
+            nnz,
         }
     }
 

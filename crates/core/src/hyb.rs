@@ -16,8 +16,7 @@ use crate::{
 pub struct HybMatrix<T, I = usize> {
     /// The regular part: at most `ell.width()` entries of every row.
     ell: EllMatrix<T, I>,
-    /// The spill: entries of rows longer than the ELL width, sorted
-    /// row-major.
+    /// The spill: entries past the ELL width of each row, in CSR order.
     tail: CooMatrix<T, I>,
 }
 
@@ -45,35 +44,27 @@ fn choose_width(row_counts: &[usize], coverage: f64) -> usize {
 }
 
 impl<T: Scalar, I: Index> HybMatrix<T, I> {
-    /// Build from CSR with an automatically chosen ELL width (≥ 95% of
-    /// the nonzeros in the regular part).
+    /// Build from CSR with an automatically chosen ELL width: the smallest
+    /// width that fully holds 95% of the rows.
     pub fn from_csr(csr: &CsrMatrix<T, I>) -> Result<Self, SparseError> {
         let counts: Vec<usize> = (0..csr.rows()).map(|i| csr.row_nnz(i)).collect();
         Self::from_csr_with_width(csr, choose_width(&counts, 0.95))
     }
 
-    /// Build from CSR with an explicit ELL width.
+    /// Build from CSR with an explicit ELL width: the first `width` entries
+    /// of each row are copied straight into the ELL arrays and the rest
+    /// pushed to a tail sized up front, with no intermediate triplets or
+    /// sort. Like CSR, both parts keep duplicate coordinates as separate
+    /// entries.
     pub fn from_csr_with_width(csr: &CsrMatrix<T, I>, width: usize) -> Result<Self, SparseError> {
-        let rows = csr.rows();
-        let cols = csr.cols();
-        // Split each row at `width`.
-        let mut ell_trips: Vec<(usize, usize, T)> = Vec::new();
-        let mut tail = CooMatrix::new(rows, cols);
-        for i in 0..rows {
+        let ell = EllMatrix::build(csr, width);
+        let mut tail = CooMatrix::with_capacity(csr.rows(), csr.cols(), csr.nnz() - ell.nnz());
+        for i in 0..csr.rows() {
             let (rcols, rvals) = csr.row(i);
-            for (slot, (&c, &v)) in rcols.iter().zip(rvals).enumerate() {
-                if slot < width {
-                    ell_trips.push((i, c.as_usize(), v));
-                } else {
-                    tail.push(i, c.as_usize(), v)?;
-                }
+            for (&c, &v) in rcols.iter().zip(rvals).skip(width) {
+                tail.push(i, c.as_usize(), v)?;
             }
         }
-        let ell_coo: CooMatrix<T, usize> = CooMatrix::from_triplets(rows, cols, &ell_trips)?;
-        let ell_coo: CooMatrix<T, I> = ell_coo
-            .with_index_type()
-            .ok_or_else(|| SparseError::Parse("index type too narrow for HYB split".into()))?;
-        let ell = EllMatrix::from_csr_with_width(&CsrMatrix::from_coo(&ell_coo), width)?;
         Ok(HybMatrix { ell, tail })
     }
 
