@@ -141,8 +141,9 @@ impl<T: Scalar, I: Index> SellMatrix<T, I> {
         &self.col_idx[base..base + width * self.c]
     }
 
-    /// The values of slice `s`, same layout as [`slice_cols`](Self::
-    /// slice_cols); padding and ghost-lane slots hold exact zeros.
+    /// The values of slice `s`, same layout as
+    /// [`slice_cols`](Self::slice_cols); padding and ghost-lane slots hold
+    /// exact zeros.
     #[inline(always)]
     pub fn slice_vals(&self, s: usize) -> &[T] {
         let (base, width) = self.slice(s);

@@ -23,7 +23,6 @@
 use spmm_core::convert::{default_edge_cost, route_string};
 use spmm_core::{CooMatrix, DenseMatrix, MatrixProperties, MatrixStats, SparseFormat};
 use spmm_gpusim::{GpuScratch, LaunchStats};
-use spmm_kernels::kernel_api::{kernel_for, CpuBackend, CpuVariant, ExecContext, SpmmKernel};
 use spmm_kernels::tiled::TileConfig;
 use spmm_kernels::{FormatData, Workspace};
 use spmm_parallel::global_pool;
@@ -34,17 +33,18 @@ use spmm_perfmodel::{
 
 use crate::benchmark::{Backend, Op, Variant};
 use crate::errors::HarnessError;
-use crate::params::Params;
+use crate::params::{self, Params};
 
 /// How the executor runs one calculation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
-    /// CPU SpMM through the typed kernel API.
-    Cpu(CpuBackend, CpuVariant),
-    /// Cache-blocked tiled SpMM against workspace-packed B panels.
-    CpuTiled {
-        /// Run the 2-D tiled loop on the pool rather than single-threaded.
+    /// CPU SpMM: one [`FormatData`] entry point per (variant, parallel).
+    /// `Variant::Tiled` runs against workspace-packed B panels.
+    Cpu {
+        /// Run on the pool rather than single-threaded.
         parallel: bool,
+        /// The kernel family (never `Vendor`, which is GPU-only).
+        variant: Variant,
     },
     /// Simulated GPU SpMM (`vendor` = the cuSPARSE-style library kernels).
     Gpu {
@@ -124,11 +124,13 @@ impl Planner {
     }
 
     /// Build the plan for one benchmark: strategy, conversion route, tile
-    /// shape and predictions. Fails when the parameter combination has no
-    /// kernel (the same rule table `ParamsBuilder` enforces up front).
+    /// shape and predictions. Fails with [`HarnessError::InvalidParams`]
+    /// when the parameters break the rule table `ParamsBuilder` enforces
+    /// up front, so struct-literal [`Params`] get the same check.
     pub fn plan(&self, props: &MatrixProperties, params: &Params) -> Result<Plan, HarnessError> {
         let _span = spmm_trace::span!("plan");
-        let strategy = self.strategy(params)?;
+        params::validate(params)?;
+        let strategy = strategy(params);
 
         let stats = MatrixStats {
             rows: props.rows,
@@ -158,33 +160,25 @@ impl Planner {
         )
         .with_col_window(props.bandwidth.max(1));
 
-        let tile = match strategy {
-            ExecStrategy::CpuTiled { .. } => {
-                let shape = select_tile_shape(
-                    &self.machine,
-                    &workload,
-                    &spmm_kernels::optimized::SUPPORTED_K,
-                );
-                Some(TileConfig::new(shape.panel_w, shape.row_block))
-            }
-            _ => None,
-        };
-
-        let predicted_mflops = match strategy {
-            ExecStrategy::Cpu(CpuBackend::Serial, CpuVariant::Simd) => Some(
-                estimate_spmm_mflops(&self.machine, &workload, 1)
-                    * simd_speedup(&self.machine, &workload),
-            ),
-            ExecStrategy::Cpu(CpuBackend::Serial, _)
-            | ExecStrategy::CpuTiled { parallel: false } => {
-                Some(estimate_spmm_mflops(&self.machine, &workload, 1))
-            }
-            ExecStrategy::Cpu(CpuBackend::Parallel, _)
-            | ExecStrategy::CpuTiled { parallel: true } => Some(estimate_spmm_mflops(
+        let tile = (params.variant == Variant::Tiled).then(|| {
+            let shape = select_tile_shape(
                 &self.machine,
                 &workload,
-                params.threads,
-            )),
+                &spmm_kernels::optimized::SUPPORTED_K,
+            );
+            TileConfig::new(shape.panel_w, shape.row_block)
+        });
+
+        let predicted_mflops = match strategy {
+            ExecStrategy::Cpu { parallel, variant } => {
+                let threads = if parallel { params.threads } else { 1 };
+                let mflops = estimate_spmm_mflops(&self.machine, &workload, threads);
+                Some(if variant == Variant::Simd {
+                    mflops * simd_speedup(&self.machine, &workload)
+                } else {
+                    mflops
+                })
+            }
             // The model has no GPU or SpMV roofline.
             ExecStrategy::Gpu { .. } | ExecStrategy::Spmv => None,
         };
@@ -198,44 +192,22 @@ impl Planner {
             strategy,
         })
     }
-
-    fn strategy(&self, params: &Params) -> Result<ExecStrategy, HarnessError> {
-        if params.op == Op::Spmv {
-            if params.backend.device().is_some() {
-                return Err(HarnessError::Unsupported(
-                    "SpMV has no GPU kernels (SpMM only)".to_string(),
-                ));
-            }
-            return Ok(ExecStrategy::Spmv);
-        }
-        if params.backend.device().is_some() {
-            return Ok(ExecStrategy::Gpu {
-                vendor: params.variant == Variant::Vendor,
-            });
-        }
-        let parallel = params.backend == Backend::Parallel;
-        Ok(match params.variant {
-            Variant::Tiled => ExecStrategy::CpuTiled { parallel },
-            Variant::Vendor => {
-                return Err(HarnessError::Unsupported(
-                    "the cuSPARSE variant requires a GPU backend".to_string(),
-                ))
-            }
-            Variant::Normal => cpu(parallel, CpuVariant::Normal),
-            Variant::TransposedB => cpu(parallel, CpuVariant::TransposedB),
-            Variant::FixedK => cpu(parallel, CpuVariant::FixedK),
-            Variant::Simd => cpu(parallel, CpuVariant::Simd),
-        })
-    }
 }
 
-fn cpu(parallel: bool, variant: CpuVariant) -> ExecStrategy {
-    let backend = if parallel {
-        CpuBackend::Parallel
+/// The strategy for parameters that passed [`params::validate`].
+fn strategy(params: &Params) -> ExecStrategy {
+    if params.op == Op::Spmv {
+        ExecStrategy::Spmv
+    } else if params.backend.device().is_some() {
+        ExecStrategy::Gpu {
+            vendor: params.variant == Variant::Vendor,
+        }
     } else {
-        CpuBackend::Serial
-    };
-    ExecStrategy::Cpu(backend, variant)
+        ExecStrategy::Cpu {
+            parallel: params.backend == Backend::Parallel,
+            variant: params.variant,
+        }
+    }
 }
 
 /// Owns a [`Plan`] plus every buffer it needs; `prepare` once, `execute`
@@ -243,7 +215,6 @@ fn cpu(parallel: bool, variant: CpuVariant) -> ExecStrategy {
 pub struct Executor {
     plan: Plan,
     data: Option<FormatData<f64>>,
-    kernel: Option<Box<dyn SpmmKernel<f64, usize>>>,
     ws: Workspace<f64>,
     gpu: GpuScratch<f64>,
     last_gpu_stats: Option<LaunchStats>,
@@ -255,7 +226,6 @@ impl Executor {
         Executor {
             plan,
             data: None,
-            kernel: None,
             ws: Workspace::new(),
             gpu: GpuScratch::new(),
             last_gpu_stats: None,
@@ -303,25 +273,21 @@ impl Executor {
         self.plan.route = route;
 
         match self.plan.strategy {
-            ExecStrategy::Cpu(backend, variant) => {
-                self.kernel =
-                    Some(kernel_for::<f64, usize>(backend, variant).ok_or_else(|| {
-                        HarnessError::Unsupported(
-                            "the simd variant is serial-only (use the tiled path)".to_string(),
-                        )
-                    })?);
-                if variant == CpuVariant::TransposedB {
-                    self.ws.acquire_bt(b);
+            ExecStrategy::Cpu { variant, .. } => {
+                match variant {
+                    Variant::TransposedB => {
+                        self.ws.acquire_bt(b);
+                    }
+                    Variant::Tiled => {
+                        let cfg = self
+                            .plan
+                            .tile
+                            .unwrap_or_else(|| TileConfig::for_k(params.k));
+                        self.plan.tile = Some(cfg);
+                        self.ws.acquire_packed(b, params.k, cfg.panel_w);
+                    }
+                    _ => {}
                 }
-                self.ws.acquire_c(coo.rows(), params.k);
-            }
-            ExecStrategy::CpuTiled { .. } => {
-                let cfg = self
-                    .plan
-                    .tile
-                    .unwrap_or_else(|| TileConfig::for_k(params.k));
-                self.plan.tile = Some(cfg);
-                self.ws.acquire_packed(b, params.k, cfg.panel_w);
                 self.ws.acquire_c(coo.rows(), params.k);
             }
             ExecStrategy::Gpu { .. } => {
@@ -346,40 +312,41 @@ impl Executor {
             .as_ref()
             .ok_or_else(|| HarnessError::Calc("calc() before format()".into()))?;
         match self.plan.strategy {
-            ExecStrategy::Cpu(_, _) => {
-                let kernel = self.kernel.as_ref().expect("prepare built the kernel");
+            ExecStrategy::Cpu { parallel, variant } => {
+                let (pool, threads, schedule) = (global_pool(), params.threads, params.schedule);
                 let view = self.ws.split();
-                let bt = if view.bt.rows() > 0 {
-                    Some(view.bt)
-                } else {
-                    None
-                };
-                let ctx = ExecContext {
-                    pool: global_pool(),
-                    threads: params.threads,
-                    schedule: params.schedule,
-                };
-                kernel.execute(data, b, bt, k, &ctx, view.c)?;
-            }
-            ExecStrategy::CpuTiled { parallel } => {
-                let cfg = self.plan.tile.expect("prepare pinned the tile shape");
-                let view = self.ws.split();
-                let ran = if parallel {
-                    data.spmm_parallel_tiled(
-                        global_pool(),
-                        params.threads,
-                        params.schedule,
-                        view.packed,
-                        cfg,
-                        view.c,
-                    )
-                } else {
-                    data.spmm_serial_tiled(view.packed, cfg, view.c)
+                let (bt, packed, c) = (view.bt, view.packed, view.c);
+                let ran = match (variant, parallel, self.plan.tile) {
+                    (Variant::Normal, false, _) => {
+                        data.spmm_serial(b, k, c);
+                        true
+                    }
+                    (Variant::Normal, true, _) => {
+                        data.spmm_parallel(pool, threads, schedule, b, k, c);
+                        true
+                    }
+                    (Variant::TransposedB, false, _) => data.spmm_serial_bt(bt, k, c),
+                    (Variant::TransposedB, true, _) => {
+                        data.spmm_parallel_bt(pool, threads, schedule, bt, k, c)
+                    }
+                    (Variant::FixedK, false, _) => data.spmm_serial_fixed_k(b, k, c),
+                    (Variant::FixedK, true, _) => {
+                        data.spmm_parallel_fixed_k(pool, threads, schedule, b, k, c)
+                    }
+                    (Variant::Simd, false, _) => data.spmm_serial_simd(b, k, c),
+                    (Variant::Tiled, false, Some(cfg)) => data.spmm_serial_tiled(packed, cfg, c),
+                    (Variant::Tiled, true, Some(cfg)) => {
+                        data.spmm_parallel_tiled(pool, threads, schedule, packed, cfg, c)
+                    }
+                    // Parallel simd, vendor on a CPU, or tiled before prepare.
+                    _ => false,
                 };
                 if !ran {
                     return Err(HarnessError::Unsupported(format!(
-                        "no tiled kernel for {} (csr/ell/bcsr only)",
-                        params.format
+                        "no {} kernel for {} on {}",
+                        variant.name(),
+                        params.format,
+                        params.backend.name()
                     )));
                 }
             }
@@ -449,7 +416,7 @@ impl Executor {
             ExecStrategy::Spmv => {
                 let view = self.ws.split();
                 let y = view.y.as_mut_slice();
-                let ok = match (params.backend, params.variant) {
+                let ran = match (params.backend, params.variant) {
                     (Backend::Serial, Variant::Normal) => data.spmv_serial(x, y),
                     (Backend::Serial, Variant::Simd) => {
                         data.spmv_serial_simd_at(spmm_kernels::simd::active_level(), x, y)
@@ -457,16 +424,14 @@ impl Executor {
                     (Backend::Parallel, Variant::Normal) => {
                         data.spmv_parallel(global_pool(), params.threads, params.schedule, x, y)
                     }
-                    _ => {
-                        return Err(HarnessError::Unsupported(
-                            "SpMV supports only the normal and simd variants".to_string(),
-                        ))
-                    }
+                    _ => false,
                 };
-                if !ok {
+                if !ran {
                     return Err(HarnessError::Unsupported(format!(
-                        "{} has no SpMV kernel",
-                        params.format
+                        "no {} SpMV kernel for {} on {}",
+                        params.variant.name(),
+                        params.format,
+                        params.backend.name()
                     )));
                 }
             }
@@ -521,7 +486,10 @@ mod tests {
         let plan = Planner::new().plan(&props, &params).unwrap();
         assert!(matches!(
             plan.strategy,
-            ExecStrategy::CpuTiled { parallel: false }
+            ExecStrategy::Cpu {
+                parallel: false,
+                variant: Variant::Tiled
+            }
         ));
         let tile = plan.tile.unwrap();
         assert!(tile.panel_w >= 1 && tile.panel_w <= 16);
@@ -558,6 +526,9 @@ mod tests {
             backend: Backend::GpuA100,
             ..Params::default()
         };
-        assert!(Planner::new().plan(&props, &gpu_spmv).is_err());
+        assert!(matches!(
+            Planner::new().plan(&props, &gpu_spmv),
+            Err(HarnessError::InvalidParams(_))
+        ));
     }
 }

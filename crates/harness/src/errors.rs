@@ -9,7 +9,6 @@ use std::error::Error;
 use std::fmt;
 
 use spmm_core::SparseError;
-use spmm_kernels::kernel_api::KernelError;
 
 /// Everything that can go wrong constructing or running a benchmark.
 #[derive(Debug)]
@@ -31,8 +30,6 @@ pub enum HarnessError {
     Format(SparseError),
     /// The conversion graph could not route or build the target format.
     Conversion(SparseError),
-    /// The kernel refused the `(format, backend, variant)` combination.
-    Kernel(KernelError),
     /// The combination has no kernel, with a human explanation.
     Unsupported(String),
     /// The calc phase failed mid-run.
@@ -59,7 +56,6 @@ impl fmt::Display for HarnessError {
             }
             HarnessError::Format(e) => write!(f, "formatting failed: {e}"),
             HarnessError::Conversion(e) => write!(f, "conversion failed: {e}"),
-            HarnessError::Kernel(e) => write!(f, "{e}"),
             HarnessError::Unsupported(msg) => f.write_str(msg),
             HarnessError::Calc(msg) => f.write_str(msg),
             HarnessError::Io { path, detail } => write!(f, "cannot write {path}: {detail}"),
@@ -72,7 +68,6 @@ impl Error for HarnessError {
         match self {
             HarnessError::Format(e) => Some(e),
             HarnessError::Conversion(e) => Some(e),
-            HarnessError::Kernel(e) => Some(e),
             _ => None,
         }
     }
@@ -81,12 +76,6 @@ impl Error for HarnessError {
 impl From<SparseError> for HarnessError {
     fn from(e: SparseError) -> Self {
         HarnessError::Format(e)
-    }
-}
-
-impl From<KernelError> for HarnessError {
-    fn from(e: KernelError) -> Self {
-        HarnessError::Kernel(e)
     }
 }
 
@@ -118,13 +107,5 @@ mod tests {
         });
         assert!(e.to_string().starts_with("conversion failed:"));
         assert!(e.source().is_some());
-    }
-
-    #[test]
-    fn kernel_error_converts() {
-        let e: HarnessError = KernelError::MissingTransposedB.into();
-        assert!(matches!(e, HarnessError::Kernel(_)));
-        assert!(e.source().is_some());
-        assert!(e.to_string().contains("transposed"));
     }
 }

@@ -224,10 +224,10 @@ fn invalid(msg: impl Into<String>) -> HarnessError {
 }
 
 /// The cross-field rule table. Field-range checks first, then the
-/// backend × variant × format × op kernel-matrix constraints (mirroring
-/// what the dispatch layer actually implements, so failures surface at
-/// build time with an explanation instead of deep inside `calc`).
-fn validate(p: &Params) -> Result<(), HarnessError> {
+/// backend × variant × format × op kernel-support table. The builder and
+/// `Planner::plan` both enforce it, so an unsupported combination fails
+/// with an explanation before anything is converted.
+pub(crate) fn validate(p: &Params) -> Result<(), HarnessError> {
     use SparseFormat as F;
 
     if p.iterations == 0 {
@@ -304,11 +304,11 @@ fn validate(p: &Params) -> Result<(), HarnessError> {
                     p.backend.name()
                 )));
             }
-            if p.op == Op::Spmm && !spmm_kernels::kernel_api::supported_fixed_k().contains(&p.k) {
+            let supported = &spmm_kernels::optimized::SUPPORTED_K;
+            if p.op == Op::Spmm && !supported.contains(&p.k) {
                 return Err(invalid(format!(
-                    "k={} has no fixed-k instantiation (supported: {:?})",
-                    p.k,
-                    spmm_kernels::kernel_api::supported_fixed_k()
+                    "k={} has no fixed-k instantiation (supported: {supported:?})",
+                    p.k
                 )));
             }
         }

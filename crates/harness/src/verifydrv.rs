@@ -190,7 +190,8 @@ impl CaseRunner for EngineRunner {
         };
         // A panicking conversion or kernel is exactly what the adversarial
         // corpus hunts for; turn it into a reported failure instead of
-        // tearing down the verify run.
+        // tearing down the verify run. So is a kernel refusing a tuple the
+        // validation table accepted: the table and the kernels disagree.
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<RunOutput, HarnessError> {
                 let props = case.coo.properties();
@@ -207,7 +208,6 @@ impl CaseRunner for EngineRunner {
             }));
         match outcome {
             Ok(Ok(out)) => Ok(out),
-            Ok(Err(HarnessError::Unsupported(_))) => Ok(RunOutput::Unsupported),
             Ok(Err(e)) => Err(format!("engine error: {e}")),
             Err(panic) => {
                 let msg = panic

@@ -199,13 +199,8 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
     }
 
     /// Serial SpMM.
-    ///
-    /// Note: harness-level code should reach this through the
-    /// [`crate::kernel_api::SpmmKernel`] trait (`kernel_api::kernel_for`)
-    /// rather than matching on backend/variant by hand.
     pub fn spmm_serial(&self, b: &DenseMatrix<T>, k: usize, c: &mut DenseMatrix<T>) {
         let _span = spmm_trace::span!("compute", "serial");
-        self.record_spmm_metrics(k);
         match self {
             FormatData::Coo(m) => serial::coo_spmm(m, b, k, c),
             FormatData::Csr(m) => serial::csr_spmm(m, b, k, c),
@@ -216,6 +211,7 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
             FormatData::Sell(m) => extended::sell_spmm(m, b, k, c),
             FormatData::Hyb(m) => extended::hyb_spmm(m, b, k, c),
         }
+        self.record_spmm_metrics(k);
     }
 
     /// [`FormatData::spmm_serial`] with every telemetry probe omitted:
@@ -249,7 +245,6 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
         c: &mut DenseMatrix<T>,
     ) {
         let _span = spmm_trace::span!("compute", "parallel");
-        self.record_spmm_metrics(k);
         match self {
             FormatData::Coo(m) => parallel::coo_spmm(pool, threads, m, b, k, c),
             FormatData::Csr(m) => parallel::csr_spmm(pool, threads, schedule, m, b, k, c),
@@ -262,6 +257,7 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
             }
             FormatData::Hyb(m) => extended::hyb_spmm_parallel(pool, threads, schedule, m, b, k, c),
         }
+        self.record_spmm_metrics(k);
     }
 
     /// Serial transposed-B SpMM (Study 8). Returns `false` for formats
@@ -269,7 +265,6 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
     /// only built transpose kernels for its four formats).
     pub fn spmm_serial_bt(&self, bt: &DenseMatrix<T>, k: usize, c: &mut DenseMatrix<T>) -> bool {
         let _span = spmm_trace::span!("compute", "serial_bt");
-        self.record_spmm_metrics(k);
         match self {
             FormatData::Coo(m) => transpose::coo_spmm_bt(m, bt, k, c),
             FormatData::Csr(m) => transpose::csr_spmm_bt(m, bt, k, c),
@@ -383,6 +378,7 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
             FormatData::Bcsr(m) => tiled::bcsr_spmm_tiled(m, packed, cfg, c),
             _ => return false,
         }
+        self.record_spmm_metrics(c.cols());
         self.record_tiled_metrics(cfg, c.cols());
         true
     }
@@ -410,6 +406,7 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
             }
             _ => return false,
         }
+        self.record_spmm_metrics(c.cols());
         self.record_tiled_metrics(cfg, c.cols());
         true
     }

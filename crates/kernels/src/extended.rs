@@ -1,7 +1,7 @@
 //! Kernels for the extension formats: SELL-C-σ and HYB.
 //!
 //! These formats are this reproduction's additions beyond the paper's four
-//! (via its §6.3.1 "additional formats" direction and related work [13]);
+//! (via its §6.3.1 "additional formats" direction and related work \[13\]);
 //! their kernels follow the same contract as [`crate::serial`] and
 //! [`crate::parallel`].
 

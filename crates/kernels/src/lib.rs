@@ -32,7 +32,6 @@
 
 pub mod dispatch;
 pub mod extended;
-pub mod kernel_api;
 pub mod optimized;
 pub mod parallel;
 pub mod serial;

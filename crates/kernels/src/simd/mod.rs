@@ -7,7 +7,8 @@
 //! the widest unit the host actually has, once, at run time:
 //!
 //! * [`SimdLevel`] names the implemented tiers: portable scalar, aarch64
-//!   NEON (stubbed, see [`neon`]), and x86-64 AVX2+FMA ([`x86`]).
+//!   NEON (stubbed, see the `neon` module), and x86-64 AVX2+FMA (the
+//!   `x86` module).
 //! * [`active_level`] performs the one-time `is_x86_feature_detected!`
 //!   probe (honouring the `SPMM_SIMD=scalar` environment override and the
 //!   programmatic [`set_level_override`], which the harness `--simd` flag
@@ -51,7 +52,7 @@ pub enum SimdLevel {
     /// Portable scalar fallback — correct everywhere.
     Scalar = 0,
     /// aarch64 NEON (128-bit). Currently dispatch-only: the kernel bodies
-    /// forward to scalar (see [`neon`]).
+    /// forward to scalar (see the `neon` module).
     Neon = 1,
     /// x86-64 AVX2 + FMA (256-bit).
     Avx2Fma = 2,

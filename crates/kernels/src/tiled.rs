@@ -33,7 +33,7 @@
 //!
 //! Panel widths outside [`SUPPORTED_K`](crate::optimized::SUPPORTED_K)
 //! (and the ragged last panel when `panel_w` does not divide `k`) fall
-//! back to a runtime-width kernel built on [`crate::util::axpy`], so any
+//! back to a runtime-width kernel built on the crate's `util::axpy`, so any
 //! `(k, panel_w)` pair computes correctly — only the common widths get
 //! the specialized instantiations.
 

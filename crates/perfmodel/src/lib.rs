@@ -12,7 +12,7 @@
 //! * per-core compute throughput and achievable memory bandwidth per
 //!   [`MachineProfile`];
 //! * per-format executed work (padding included) and memory traffic with a
-//!   cache-resident-B correction ([`estimate`]);
+//!   cache-resident-B correction ([`estimate_spmm_mflops`]);
 //! * parallel speedup with physical-core scaling, an SMT region whose
 //!   efficiency depends on the format (the paper found hyperthreading
 //!   favoured the blocked formats), load imbalance driven by the row-degree
