@@ -72,7 +72,7 @@ pub use properties::MatrixProperties;
 pub use scalar::Scalar;
 pub use sell::SellMatrix;
 pub use traffic::Traffic;
-pub use verify::{max_abs_error, max_rel_error, suggested_tolerance, verify, VerifyError};
+pub use verify::{max_rel_error, suggested_tolerance, verify, VerifyError};
 
 use std::fmt;
 use std::str::FromStr;

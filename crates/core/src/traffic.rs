@@ -3,8 +3,8 @@
 //! Kernels report *algorithmic* traffic — the bytes their access pattern
 //! demands, ignoring cache reuse — so the numbers are exact, cheap to
 //! compute once per kernel call, and comparable across formats. The
-//! cache-aware counterpart lives in `spmm-perfmodel`; joining the two is
-//! what the roofline-attainment report does.
+//! cache-aware counterpart lives in `spmm-perfmodel`, whose prediction
+//! the report's attainment line divides by.
 
 use crate::{MemoryFootprint, Scalar};
 

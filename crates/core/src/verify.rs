@@ -58,11 +58,6 @@ pub fn max_rel_error<T: Scalar>(got: &DenseMatrix<T>, expected: &DenseMatrix<T>)
         .fold(0.0, f64::max)
 }
 
-/// Largest elementwise absolute error.
-pub fn max_abs_error<T: Scalar>(got: &DenseMatrix<T>, expected: &DenseMatrix<T>) -> f64 {
-    got.max_abs_diff(expected)
-}
-
 /// Suggested verification tolerance for a scalar type, scaled by the dot
 /// product length (accumulation order differs between kernels, so error
 /// grows with the number of summed terms).
@@ -164,13 +159,5 @@ mod tests {
     fn suggested_tolerance_scales() {
         assert!(suggested_tolerance::<f32>(100) > suggested_tolerance::<f64>(100));
         assert!(suggested_tolerance::<f64>(10_000) > suggested_tolerance::<f64>(100));
-    }
-
-    #[test]
-    fn max_abs_error_matches_dense_diff() {
-        let a = DenseMatrix::from_fn(2, 2, |i, j| (i + j) as f64);
-        let mut b = a.clone();
-        b.set(0, 0, 3.0);
-        assert_eq!(max_abs_error(&b, &a), 3.0);
     }
 }

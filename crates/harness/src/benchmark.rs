@@ -15,7 +15,6 @@ use spmm_core::{
 };
 use spmm_gpusim::{DeviceProfile, LaunchStats};
 use spmm_kernels::FormatData;
-use spmm_perfmodel::{attainment, MachineProfile, SpmmWorkload};
 use spmm_trace::TraceLevel;
 
 use crate::engine::{Executor, Plan, Planner};
@@ -392,40 +391,7 @@ pub fn run(bench: &mut SuiteBenchmark) -> Result<Report, HarnessError> {
     if let Some(plan) = bench.plan() {
         report.plan_route = Some(plan.route_string());
         report.predicted_mflops = plan.predicted_mflops;
-    }
-
-    // Roofline attainment: join the measured rate against the analytic
-    // model for host-measured CPU SpMM runs (the model has no SpMV or
-    // simulated-GPU roofline).
-    if params.op == Op::Spmm && !simulated {
-        if let Some(data) = bench.data() {
-            let props = bench.properties();
-            let workload = SpmmWorkload::new(
-                data.format(),
-                data.rows(),
-                data.cols(),
-                data.nnz(),
-                data.stored_entries(),
-                props.max_row_nnz,
-                data.memory_footprint(),
-                params.block,
-                params.k,
-            )
-            .with_col_window(props.bandwidth.max(1));
-            let threads = match params.backend {
-                Backend::Parallel => params.threads,
-                _ => 1,
-            };
-            let a = attainment(
-                &MachineProfile::container_host(),
-                &workload,
-                threads,
-                report.mflops,
-            );
-            report.modeled_mflops = Some(a.modeled_mflops);
-            report.attained_fraction = Some(a.attained_fraction);
-            report.arithmetic_intensity = Some(a.arithmetic_intensity);
-        }
+        report.attained_fraction = plan.predicted_mflops.map(|p| report.mflops / p);
     }
 
     // Fold this run's spans into a phase tree for the report.
@@ -519,6 +485,36 @@ mod tests {
         // BCSR routes through the CSR hub; the route lands in the report.
         assert_eq!(report.plan_route.as_deref(), Some("coo->csr->bcsr"));
         assert!(report.predicted_mflops.unwrap() > 0.0);
+    }
+
+    #[test]
+    fn attainment_divides_by_the_plans_prediction() {
+        use spmm_core::SparseFormat::*;
+        for (format, variant) in [(Bcsr, Variant::Tiled), (Sell, Variant::Simd)] {
+            let params = Params {
+                format,
+                variant,
+                ..small_params()
+            };
+            let mut bench = SuiteBenchmark::from_params(params).unwrap();
+            let report = run(&mut bench).unwrap();
+            let predicted = report.predicted_mflops.unwrap();
+            assert_eq!(
+                report.attained_fraction,
+                Some(report.mflops / predicted),
+                "{format}/{}",
+                variant.name()
+            );
+        }
+        // A simulated device has no CPU prediction, so no attainment.
+        let params = Params {
+            backend: Backend::GpuH100,
+            ..small_params()
+        };
+        let mut bench = SuiteBenchmark::from_params(params).unwrap();
+        let report = run(&mut bench).unwrap();
+        assert_eq!(report.predicted_mflops, None);
+        assert_eq!(report.attained_fraction, None);
     }
 
     #[test]

@@ -351,10 +351,12 @@ impl Executor {
                 }
             }
             ExecStrategy::Gpu { vendor } => {
-                let device = params
-                    .backend
-                    .device()
-                    .expect("gpu strategy implies a device");
+                let device = params.backend.device().ok_or_else(|| {
+                    HarnessError::Unsupported(format!(
+                        "gpu strategy on the {} backend, which has no device",
+                        params.backend.name()
+                    ))
+                })?;
                 let c = self.ws.c_mut();
                 let stats = if vendor {
                     match data {
@@ -529,6 +531,22 @@ mod tests {
         assert!(matches!(
             Planner::new().plan(&props, &gpu_spmv),
             Err(HarnessError::InvalidParams(_))
+        ));
+    }
+
+    #[test]
+    fn a_gpu_strategy_on_a_cpu_backend_is_a_typed_error() {
+        let (coo, props) = props_and_coo();
+        let params = Params::default();
+        let mut plan = Planner::new().plan(&props, &params).unwrap();
+        plan.strategy = ExecStrategy::Gpu { vendor: false };
+
+        let b = DenseMatrix::from_fn(48, params.k, |i, j| (i + j) as f64);
+        let mut exec = Executor::new(plan);
+        exec.prepare(&coo, &b).unwrap();
+        assert!(matches!(
+            exec.execute(&b, &[]),
+            Err(HarnessError::Unsupported(_))
         ));
     }
 }

@@ -67,14 +67,9 @@ pub struct Report {
     /// Formatted representation payload bytes.
     pub memory_footprint: usize,
 
-    /// Roofline-model MFLOPS for this (matrix, format, threads) point
-    /// (host-measured CPU SpMM runs only).
-    pub modeled_mflops: Option<f64>,
-    /// `mflops / modeled_mflops`: how much of the modelled roofline the
-    /// measured kernel attained.
+    /// `mflops / predicted_mflops`: how much of the planner's predicted
+    /// rate the measured kernel attained (host CPU SpMM runs only).
     pub attained_fraction: Option<f64>,
-    /// Modelled arithmetic intensity, useful FLOPs per byte of traffic.
-    pub arithmetic_intensity: Option<f64>,
     /// Rendered span phase tree of the run (tracing enabled only).
     pub phase_tree: Option<String>,
 
@@ -128,9 +123,7 @@ impl Report {
             simulated,
             verified: verification.map(|v| v.is_ok()),
             memory_footprint: bench.data().map_or(0, |d| d.memory_footprint()),
-            modeled_mflops: None,
             attained_fraction: None,
-            arithmetic_intensity: None,
             phase_tree: None,
             plan_route: None,
             predicted_mflops: None,
@@ -143,7 +136,7 @@ impl Report {
         "matrix,format,backend,variant,k,threads,block,iterations,\
          rows,cols,nnz,max,avg,ratio,variance,std_dev,\
          format_time_s,avg_calc_time_s,total_time_s,mflops,simulated,verified,footprint_bytes,\
-         modeled_mflops,attained_fraction,arithmetic_intensity,\
+         attained_fraction,\
          plan_route,predicted_mflops,steady_alloc_bytes"
     }
 
@@ -152,7 +145,7 @@ impl Report {
         let opt =
             |v: Option<f64>, digits: usize| v.map_or(String::new(), |v| format!("{v:.digits$}"));
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{:.2},{:.2},{:.2},{:.2},{:.6},{:.6e},{:.6},{:.2},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{:.2},{:.2},{:.2},{:.2},{:.6},{:.6e},{:.6},{:.2},{},{},{},{},{},{},{}",
             self.matrix,
             self.format,
             self.backend,
@@ -176,9 +169,7 @@ impl Report {
             self.simulated,
             self.verified.map_or("skipped".to_string(), |v| v.to_string()),
             self.memory_footprint,
-            opt(self.modeled_mflops, 2),
             opt(self.attained_fraction, 4),
-            opt(self.arithmetic_intensity, 4),
             self.plan_route.as_deref().unwrap_or(""),
             opt(self.predicted_mflops, 2),
             self.steady_alloc_bytes
@@ -215,9 +206,7 @@ impl Report {
             .with("simulated", self.simulated)
             .with("verified", self.verified)
             .with("memory_footprint", self.memory_footprint)
-            .with("modeled_mflops", self.modeled_mflops)
             .with("attained_fraction", self.attained_fraction)
-            .with("arithmetic_intensity", self.arithmetic_intensity)
             .with("plan_route", self.plan_route.clone())
             .with("predicted_mflops", self.predicted_mflops)
             .with("steady_alloc_bytes", self.steady_alloc_bytes)
@@ -277,12 +266,11 @@ impl fmt::Display for Report {
         if let Some(bytes) = self.steady_alloc_bytes {
             writeln!(f, "steady alloc: {bytes} bytes in the timed loop")?;
         }
-        if let (Some(modeled), Some(fraction)) = (self.modeled_mflops, self.attained_fraction) {
+        if let Some(fraction) = self.attained_fraction {
             writeln!(
                 f,
-                "attainment:  {:.1}% of the modeled {:.2} MFLOPS roofline",
-                fraction * 100.0,
-                modeled
+                "attainment:  {:.1}% of the predicted rate",
+                fraction * 100.0
             )?;
         }
         match self.verified {

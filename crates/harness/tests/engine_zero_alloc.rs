@@ -3,11 +3,19 @@
 //! This lives in its own integration-test binary (its own process) because
 //! it raises the global trace level: the `workspace.*` counters are
 //! process-wide, so any concurrently preparing executor in the same
-//! process would pollute the delta. Here, nothing else runs.
+//! process would pollute the delta. The tests in this binary serialize on
+//! [`guard`], so nothing else runs while one measures.
+
+use std::sync::{Mutex, MutexGuard};
 
 use spmm_core::SparseFormat;
 use spmm_harness::{run, Backend, SuiteBenchmark, Variant};
 use spmm_harness::{Executor, Params, Planner};
+
+fn guard() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn small_params(format: SparseFormat) -> Params {
     Params {
@@ -29,6 +37,7 @@ fn steady_state_executes_allocate_nothing() {
     if !spmm_trace::COMPILED_IN {
         return; // nothing to measure without the telemetry feature
     }
+    let _g = guard();
     let cases: Vec<(SparseFormat, Backend, Variant)> = SparseFormat::ALL
         .iter()
         .map(|&f| (f, Backend::Serial, Variant::Normal))
@@ -83,6 +92,7 @@ fn run_reports_zero_steady_alloc_under_full_tracing() {
     if !spmm_trace::COMPILED_IN {
         return;
     }
+    let _g = guard();
     let params = Params {
         trace_level: spmm_trace::TraceLevel::Full,
         ..small_params(SparseFormat::Bcsr)

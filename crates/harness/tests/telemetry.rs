@@ -130,7 +130,8 @@ fn disabled_tracing_records_nothing_through_the_harness() {
     let delta = MetricsSnapshot::capture().delta_since(&before);
     assert_eq!(delta.counter("spmm.kernel_calls").unwrap_or(0), 0);
     assert!(report.phase_tree.is_none());
-    // Attainment is measured-vs-model, not telemetry: present either way.
+    // The attained fraction is measured-vs-plan, not telemetry: present
+    // either way.
     assert!(report.attained_fraction.is_some());
     assert_eq!(report.verified, Some(true));
 }

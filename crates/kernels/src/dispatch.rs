@@ -214,25 +214,6 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
         self.record_spmm_metrics(k);
     }
 
-    /// [`FormatData::spmm_serial`] with every telemetry probe omitted:
-    /// the A/B partner `bench-snapshot` times against the probed twin to
-    /// measure the disabled-probe cost in an otherwise identical codegen
-    /// context (comparing against the raw per-format kernels instead
-    /// measures the *instantiation site*, not the probes).
-    #[doc(hidden)]
-    pub fn spmm_serial_unprobed(&self, b: &DenseMatrix<T>, k: usize, c: &mut DenseMatrix<T>) {
-        match self {
-            FormatData::Coo(m) => serial::coo_spmm(m, b, k, c),
-            FormatData::Csr(m) => serial::csr_spmm(m, b, k, c),
-            FormatData::Ell(m) => serial::ell_spmm(m, b, k, c),
-            FormatData::Bcsr(m) => serial::bcsr_spmm(m, b, k, c),
-            FormatData::Bell(m) => serial::bell_spmm(m, b, k, c),
-            FormatData::Csr5(m) => serial::csr5_spmm(m, b, k, c),
-            FormatData::Sell(m) => extended::sell_spmm(m, b, k, c),
-            FormatData::Hyb(m) => extended::hyb_spmm(m, b, k, c),
-        }
-    }
-
     /// CPU-parallel SpMM. COO ignores `schedule` (its split is inherently
     /// static and row-aligned).
     pub fn spmm_parallel(
@@ -513,28 +494,6 @@ impl<T: SimdScalar, I: Index> FormatData<T, I> {
             }
         }
         self.record_spmm_metrics(k);
-        true
-    }
-
-    /// [`FormatData::spmm_serial_simd`] with every telemetry probe
-    /// omitted — see [`FormatData::spmm_serial_unprobed`].
-    #[doc(hidden)]
-    pub fn spmm_serial_simd_unprobed(
-        &self,
-        b: &DenseMatrix<T>,
-        k: usize,
-        c: &mut DenseMatrix<T>,
-    ) -> bool {
-        let level = simd::active_level();
-        match self {
-            FormatData::Csr(m) => simd::csr_spmm_at(level, m, b, k, c),
-            FormatData::Ell(m) => simd::ell_spmm_at(level, m, b, k, c),
-            FormatData::Bcsr(m) => simd::bcsr_spmm_at(level, m, b, k, c),
-            FormatData::Sell(m) => simd::sell_spmm_at(level, m, b, k, c),
-            FormatData::Coo(_) | FormatData::Bell(_) | FormatData::Csr5(_) | FormatData::Hyb(_) => {
-                return false
-            }
-        }
         true
     }
 

@@ -116,17 +116,6 @@ fn every_entry_point_records_exactly_once() {
         check(&name("spmv_parallel"), "spmv", mv, || {
             data.spmv_parallel(&pool, 2, s, &x, &mut y)
         });
-
-        // The `_unprobed` twins exist to measure the probes' cost, so they
-        // are checked as refusals: no counter may move.
-        check(&name("spmm_serial_unprobed"), "spmm", mm, || {
-            data.spmm_serial_unprobed(&b, K, &mut c);
-            false
-        });
-        check(&name("spmm_serial_simd_unprobed"), "spmm", mm, || {
-            data.spmm_serial_simd_unprobed(&b, K, &mut c);
-            false
-        });
     }
 
     // A const-K call at a k with no instantiation refuses and records

@@ -113,7 +113,7 @@ pub(crate) fn format_cpi_factor(w: &SpmmWorkload) -> f64 {
 /// only revisits a moving band of B rows, which is why high `k` stays
 /// profitable on banded inputs (Study 4's Arm shape) while scattered
 /// matrices saturate.
-pub(crate) fn traffic_bytes(machine: &MachineProfile, w: &SpmmWorkload) -> f64 {
+fn traffic_bytes(machine: &MachineProfile, w: &SpmmWorkload) -> f64 {
     let value_bytes = 8.0;
     let b_compulsory = w.cols as f64 * w.k as f64 * value_bytes;
     let b_window = w.col_window.max(1) as f64 * w.k as f64 * value_bytes;

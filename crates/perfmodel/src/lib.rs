@@ -26,12 +26,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod attainment;
 mod estimate;
 mod machine;
 mod tiling;
 
-pub use attainment::{attainment, modeled_traffic_bytes, Attainment};
 pub use estimate::{
     conversion_seconds, estimate_spmm_mflops, serial_time_s, simd_speedup, SpmmWorkload,
 };

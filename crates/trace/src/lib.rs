@@ -17,8 +17,10 @@
 //! nothing. At runtime, [`TraceLevel`] (default [`TraceLevel::Off`])
 //! keeps probes down to one relaxed atomic load until tracing is enabled
 //! with [`set_trace_level`]. Kernels therefore instrument freely at
-//! phase granularity — never per row — and stay within the <2% overhead
-//! budget checked by `bench-snapshot`.
+//! phase granularity — never per row. Comparing a default build with a
+//! `--no-default-features` build measures the disabled-probe cost; the
+//! engine-path benchmark (`enginebench/`) reports the enabled cost as
+//! `trace.*_overhead_frac`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
