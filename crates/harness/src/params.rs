@@ -41,8 +41,8 @@ pub struct Params {
     pub k: usize,
     /// Loop schedule for parallel kernels.
     pub schedule: Schedule,
-    /// Force the scalar SIMD level (`--simd scalar`), pinning the
-    /// runtime-dispatched micro-kernels to their portable bodies. The
+    /// Force the scalar SIMD level (`--simd scalar`), pinning every CPU
+    /// SpMM kernel (flat, tiled and `simd`) to its portable build. The
     /// `SPMM_SIMD=scalar` environment variable has the same effect.
     pub simd_scalar: bool,
     /// Scale factor for generated suite matrices.

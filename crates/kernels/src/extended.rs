@@ -3,14 +3,19 @@
 //! These formats are this reproduction's additions beyond the paper's four
 //! (via its §6.3.1 "additional formats" direction and related work \[13\]);
 //! their kernels follow the same contract as [`crate::serial`] and
-//! [`crate::parallel`].
+//! [`crate::parallel`], including one range body per format shared by the
+//! serial and parallel entry points.
 
-use spmm_core::{CooMatrix, DenseMatrix};
-use spmm_core::{HybMatrix, Index, Scalar, SellMatrix};
+use std::ops::Range;
+
+use spmm_core::{DenseMatrix, HybMatrix, Index, Scalar, SellMatrix};
 use spmm_parallel::{Schedule, ThreadPool};
 
 use crate::check_spmm_shapes;
-use crate::util::{axpy, DisjointSlice};
+use crate::parallel::coo_accumulate;
+use crate::serial::{coo_entries, ell_rows};
+use crate::simd::active_level;
+use crate::util::{axpy, isa_twin, DisjointSlice};
 
 /// Serial SELL-C-σ SpMM: slice loop, lane-major inner walk.
 pub fn sell_spmm<T: Scalar, I: Index>(
@@ -20,26 +25,10 @@ pub fn sell_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    let height = a.slice_height();
-    for s in 0..a.nslices() {
-        let (base, width) = a.slice(s);
-        for lane in 0..height {
-            let p = s * height + lane;
-            if p >= a.rows() {
-                break;
-            }
-            let row = a.row_at(p);
-            let c_row = c.row_mut(row);
-            c_row[..k].fill(T::ZERO);
-            for slot in 0..width {
-                let at = base + slot * height + lane;
-                let v = a.values()[at];
-                if v != T::ZERO {
-                    axpy(c_row, v, b.row(a.col_idx()[at].as_usize()), k);
-                }
-            }
-        }
-    }
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY: the only writer of C, shapes checked, and the level comes
+    // from `active_level`.
+    unsafe { sell_slices(active_level(), a, b, k, 0..a.nslices(), &c) };
 }
 
 /// Parallel SELL-C-σ SpMM over slices. Slices own disjoint padded
@@ -55,11 +44,30 @@ pub fn sell_spmm_parallel<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    let height = a.slice_height();
-    let rows = a.rows();
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
+    let level = active_level();
+    let c = DisjointSlice::new(c.as_mut_slice());
     pool.parallel_for(threads, 0..a.nslices(), schedule, |slices| {
+        // SAFETY: disjoint slice ranges own disjoint C rows (see fn docs);
+        // shapes checked; the level comes from `active_level`.
+        unsafe { sell_slices(level, a, b, k, slices, &c) };
+    });
+}
+
+isa_twin! {
+    /// The C rows of SELL slices `slices`, each zeroed then accumulated.
+    ///
+    /// # Safety
+    /// Shapes passed `check_spmm_shapes`, and no other live call covers any
+    /// of `slices`.
+    unsafe fn sell_slices<T: Scalar, I: Index>(
+        a: &SellMatrix<T, I>,
+        b: &DenseMatrix<T>,
+        k: usize,
+        slices: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        let height = a.slice_height();
+        let rows = a.rows();
         for s in slices {
             let (base, width) = a.slice(s);
             for lane in 0..height {
@@ -67,10 +75,10 @@ pub fn sell_spmm_parallel<T: Scalar, I: Index>(
                 if p >= rows {
                     break;
                 }
-                let row = a.row_at(p);
-                // SAFETY: slice/permutation disjointness (see fn docs).
-                let c_row = unsafe { c_slice.slice_mut(row * k_cols, k_cols) };
-                c_row[..k].fill(T::ZERO);
+                // SAFETY: slice/permutation disjointness (see
+                // `sell_spmm_parallel`) and this fn's contract.
+                let c_row = unsafe { c.slice_mut(a.row_at(p) * k, k) };
+                c_row.fill(T::ZERO);
                 for slot in 0..width {
                     let at = base + slot * height + lane;
                     let v = a.values()[at];
@@ -80,7 +88,7 @@ pub fn sell_spmm_parallel<T: Scalar, I: Index>(
                 }
             }
         }
-    });
+    }
 }
 
 /// Serial HYB SpMM: ELL part first (overwrites C), COO tail accumulated
@@ -92,9 +100,13 @@ pub fn hyb_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    crate::serial::ell_spmm(a.ell(), b, k, c);
-    for (r, j, v) in a.tail().iter() {
-        axpy(c.row_mut(r), v, b.row(j), k);
+    let level = active_level();
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY: the only writer of C; the ELL part and the tail share the
+    // HYB shape; the level comes from `active_level`.
+    unsafe {
+        ell_rows(level, a.ell(), b, k, 0..a.rows(), &c);
+        coo_entries(level, a.tail(), b, k, 0..a.tail().nnz(), &c);
     }
 }
 
@@ -111,58 +123,20 @@ pub fn hyb_spmm_parallel<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    crate::parallel::ell_spmm(pool, threads, schedule, a.ell(), b, k, c);
-    accumulate_coo_parallel(pool, threads, a.tail(), b, k, c);
-}
-
-/// Row-aligned parallel `C += tail · B` (no clearing — unlike
-/// [`crate::parallel::coo_spmm`], this accumulates onto existing C rows).
-fn accumulate_coo_parallel<T: Scalar, I: Index>(
-    pool: &ThreadPool,
-    threads: usize,
-    tail: &CooMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) {
-    let nnz = tail.nnz();
-    if nnz == 0 {
-        return;
-    }
-    debug_assert!(tail.is_sorted(), "HYB tail must be row-major sorted");
-    let threads = threads.max(1).min(nnz);
-    let rows_of = tail.row_indices();
-    let mut bounds = Vec::with_capacity(threads + 1);
-    bounds.push(0);
-    for t in 1..threads {
-        let mut at = t * nnz / threads;
-        while at > 0 && at < nnz && rows_of[at] == rows_of[at - 1] {
-            at += 1;
-        }
-        bounds.push(at.min(nnz));
-    }
-    bounds.push(nnz);
-    let k_cols = c.cols();
+    let level = active_level();
     let c_slice = DisjointSlice::new(c.as_mut_slice());
-    let bounds_ref = &bounds;
-    pool.broadcast(threads, |tid| {
-        for e in bounds_ref[tid]..bounds_ref[tid + 1] {
-            let r = rows_of[e].as_usize();
-            // SAFETY: row-aligned boundaries keep rows thread-exclusive.
-            let c_row = unsafe { c_slice.slice_mut(r * k_cols, k_cols) };
-            axpy(
-                c_row,
-                tail.values()[e],
-                b.row(tail.col_indices()[e].as_usize()),
-                k,
-            );
-        }
+    pool.parallel_for(threads, 0..a.rows(), schedule, |rows| {
+        // SAFETY: disjoint row ranges; as in `hyb_spmm` otherwise.
+        unsafe { ell_rows(level, a.ell(), b, k, rows, &c_slice) };
     });
+    // SAFETY: as in `hyb_spmm`.
+    unsafe { coo_accumulate(pool, threads, level, a.tail(), b, k, c) };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmm_core::CooMatrix;
 
     fn skewed() -> (CooMatrix<f64>, DenseMatrix<f64>) {
         let mut trips = Vec::new();

@@ -3,7 +3,11 @@
 //! Each kernel parallelizes the loop the paper's OpenMP pragmas annotate:
 //! rows for CSR/ELL, row-aligned entry ranges for COO, block rows for BCSR,
 //! strips for BELL and tiles for CSR5. The thread count and schedule are
-//! per-call parameters, matching the suite's `-t` flag.
+//! per-call parameters, matching the suite's `-t` flag. Every chunk runs
+//! the same range body as the serial kernel of its format (see
+//! [`crate::serial`]), at the [`active_level`] read once per call.
+
+use std::ops::Range;
 
 use spmm_core::{
     BcsrMatrix, BellMatrix, CooMatrix, Csr5Matrix, CsrMatrix, DenseMatrix, EllMatrix, Index, Scalar,
@@ -11,7 +15,9 @@ use spmm_core::{
 use spmm_parallel::{Schedule, ThreadPool};
 
 use crate::check_spmm_shapes;
-use crate::util::{axpy, DisjointSlice};
+use crate::serial::{bcsr_block_rows, bell_strips, coo_entries, csr_rows, ell_rows};
+use crate::simd::{active_level, SimdLevel};
+use crate::util::{axpy, isa_twin, DisjointSlice};
 
 /// COO SpMM parallelized over row-aligned entry ranges.
 ///
@@ -29,15 +35,34 @@ pub fn coo_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    debug_assert!(
-        a.is_sorted(),
-        "parallel COO requires row-major sorted entries"
-    );
     c.clear();
+    // SAFETY: shapes checked, and the level comes from `active_level`.
+    unsafe { coo_accumulate(pool, threads, active_level(), a, b, k, c) };
+}
+
+/// Row-aligned parallel `C += a · B` (no clearing: the HYB tail
+/// accumulates onto its ELL pass).
+///
+/// # Safety
+/// `a`, `b`, `k` and `c` passed `check_spmm_shapes`, and `level` is one
+/// the running CPU supports (see `isa_twin!`).
+pub(crate) unsafe fn coo_accumulate<T: Scalar, I: Index>(
+    pool: &ThreadPool,
+    threads: usize,
+    level: SimdLevel,
+    a: &CooMatrix<T, I>,
+    b: &DenseMatrix<T>,
+    k: usize,
+    c: &mut DenseMatrix<T>,
+) {
     let nnz = a.nnz();
     if nnz == 0 {
         return;
     }
+    debug_assert!(
+        a.is_sorted(),
+        "parallel COO requires row-major sorted entries"
+    );
     let threads = threads.max(1).min(nnz);
     let rows_of = a.row_indices();
 
@@ -53,24 +78,12 @@ pub fn coo_spmm<T: Scalar, I: Index>(
     }
     bounds.push(nnz);
 
-    let k_cols = c.cols();
     let c_slice = DisjointSlice::new(c.as_mut_slice());
-    let bounds_ref = &bounds;
+    let bounds = &bounds;
     pool.broadcast(threads, |tid| {
-        let lo = bounds_ref[tid];
-        let hi = bounds_ref[tid + 1];
-        for e in lo..hi {
-            let r = rows_of[e].as_usize();
-            // SAFETY: row boundaries are aligned, so row `r` belongs to
-            // exactly one thread's [lo, hi) range.
-            let c_row = unsafe { c_slice.slice_mut(r * k_cols, k_cols) };
-            axpy(
-                c_row,
-                a.values()[e],
-                b.row(a.col_indices()[e].as_usize()),
-                k,
-            );
-        }
+        // SAFETY: row-aligned boundaries give each C row exactly one
+        // thread; shapes and level per this fn's contract.
+        unsafe { coo_entries(level, a, b, k, bounds[tid]..bounds[tid + 1], &c_slice) };
     });
 }
 
@@ -85,18 +98,13 @@ pub fn csr_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
+    let level = active_level();
+    let c = DisjointSlice::new(c.as_mut_slice());
     pool.parallel_for(threads, 0..a.rows(), schedule, |rows| {
-        for i in rows {
-            // SAFETY: the pool hands out disjoint row ranges.
-            let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-            c_row[..k].fill(T::ZERO);
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                axpy(c_row, v, b.row(j.as_usize()), k);
-            }
-        }
+        // SAFETY (this and every parallel_for chunk below): the pool hands
+        // out disjoint ranges, which own disjoint C rows; shapes checked;
+        // the level comes from `active_level`.
+        unsafe { csr_rows(level, a, b, k, rows, &c) };
     });
 }
 
@@ -128,25 +136,17 @@ pub fn csr_spmm_balanced_in<T: Scalar, I: Index>(
     a: &CsrMatrix<T, I>,
     b: &DenseMatrix<T>,
     k: usize,
-    ranges: &[std::ops::Range<usize>],
+    ranges: &[Range<usize>],
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
     let threads = threads.max(1).min(ranges.len());
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
-    let ranges_ref = &ranges;
+    let level = active_level();
+    let c = DisjointSlice::new(c.as_mut_slice());
     pool.broadcast(threads, |tid| {
-        for i in ranges_ref[tid].clone() {
-            // SAFETY: the partition's ranges are disjoint by construction,
-            // so each C row has exactly one writer.
-            let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-            c_row[..k].fill(T::ZERO);
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                axpy(c_row, v, b.row(j.as_usize()), k);
-            }
-        }
+        // SAFETY: the partition's ranges are disjoint by construction, so
+        // each C row has exactly one writer; as in `csr_spmm` otherwise.
+        unsafe { csr_rows(level, a, b, k, ranges[tid].clone(), &c) };
     });
 }
 
@@ -163,17 +163,11 @@ pub fn ell_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
+    let level = active_level();
+    let c = DisjointSlice::new(c.as_mut_slice());
     pool.parallel_for(threads, 0..a.rows(), schedule, |rows| {
-        for i in rows {
-            // SAFETY: disjoint row ranges.
-            let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-            c_row[..k].fill(T::ZERO);
-            for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-                axpy(c_row, v, b.row(j.as_usize()), k);
-            }
-        }
+        // SAFETY: as in `csr_spmm`.
+        unsafe { ell_rows(level, a, b, k, rows, &c) };
     });
 }
 
@@ -189,35 +183,11 @@ pub fn bcsr_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    let (r, bc_w) = (a.block_r(), a.block_c());
-    let rows = a.rows();
-    let cols = a.cols();
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
+    let level = active_level();
+    let c = DisjointSlice::new(c.as_mut_slice());
     pool.parallel_for(threads, 0..a.block_rows(), schedule, |block_rows| {
-        for bi in block_rows {
-            let row_lo = bi * r;
-            let row_hi = (row_lo + r).min(rows);
-            for i in row_lo..row_hi {
-                // SAFETY: block rows partition the rows disjointly.
-                let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-                c_row[..k].fill(T::ZERO);
-            }
-            for (bcol, block) in a.block_row(bi) {
-                let col_lo = bcol * bc_w;
-                for i in row_lo..row_hi {
-                    let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
-                    // SAFETY: as above.
-                    let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-                    for (lc, &v) in brow.iter().enumerate() {
-                        let j = col_lo + lc;
-                        if j < cols && v != T::ZERO {
-                            axpy(c_row, v, b.row(j), k);
-                        }
-                    }
-                }
-            }
-        }
+        // SAFETY: as in `csr_spmm`; block rows partition the rows.
+        unsafe { bcsr_block_rows(level, a, b, k, block_rows, &c) };
     });
 }
 
@@ -232,37 +202,11 @@ pub fn bell_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    let (r, bc_w) = (a.block_r(), a.block_c());
-    let rows = a.rows();
-    let cols = a.cols();
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
+    let level = active_level();
+    let c = DisjointSlice::new(c.as_mut_slice());
     pool.parallel_for(threads, 0..a.strips(), schedule, |strips| {
-        for s in strips {
-            let row_lo = s * r;
-            let row_hi = (row_lo + r).min(rows);
-            for i in row_lo..row_hi {
-                // SAFETY: strips partition the rows disjointly.
-                let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-                c_row[..k].fill(T::ZERO);
-            }
-            for slot in 0..a.block_width() {
-                let bcol = a.slot_block_col(s, slot);
-                let block = a.slot_values(s, slot);
-                let col_lo = bcol * bc_w;
-                for i in row_lo..row_hi {
-                    let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
-                    // SAFETY: as above.
-                    let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-                    for (lc, &v) in brow.iter().enumerate() {
-                        let j = col_lo + lc;
-                        if j < cols && v != T::ZERO {
-                            axpy(c_row, v, b.row(j), k);
-                        }
-                    }
-                }
-            }
-        }
+        // SAFETY: as in `csr_spmm`; strips partition the rows.
+        unsafe { bell_strips(level, a, b, k, strips, &c) };
     });
 }
 
@@ -284,15 +228,47 @@ pub fn csr5_spmm<T: Scalar, I: Index>(
     if ntiles == 0 {
         return;
     }
-    let k_cols = c.cols();
 
     // Per-tile carry buffer: partial sums for a tile whose first segment
     // continues a row begun in an earlier tile.
     let mut carry = vec![T::ZERO; ntiles * k];
+    let level = active_level();
     let carry_slice = DisjointSlice::new(&mut carry);
     let c_slice = DisjointSlice::new(c.as_mut_slice());
-
     pool.parallel_for(threads, 0..ntiles, schedule, |tiles| {
+        // SAFETY: as in `csr_spmm`; row ownership per `csr5_carry_tiles`.
+        unsafe { csr5_carry_tiles(level, a, b, k, tiles, &c_slice, &carry_slice) };
+    });
+
+    // Sequential carry fix-up (CSR5's calibration step).
+    for t in 0..ntiles {
+        if a.tile_starts_mid_row(t) {
+            let row = a.tile(t).segments[0].0.as_usize();
+            let c_row = c.row_mut(row);
+            for (cv, &add) in c_row[..k].iter_mut().zip(&carry[t * k..t * k + k]) {
+                *cv += add;
+            }
+        }
+    }
+}
+
+isa_twin! {
+    /// CSR5 tiles `tiles` accumulated into C (cleared by the caller), except
+    /// that a tile whose first segment continues a row begun in an earlier
+    /// tile writes that segment to its private `carry` row `t`.
+    ///
+    /// # Safety
+    /// Shapes passed `check_spmm_shapes`, `carry` holds `a.ntiles() × k`
+    /// elements, and no other live call covers any of `tiles`: a row's direct
+    /// writes belong to the single tile holding the row's first entry.
+    unsafe fn csr5_carry_tiles<T: Scalar, I: Index>(
+        a: &Csr5Matrix<T, I>,
+        b: &DenseMatrix<T>,
+        k: usize,
+        tiles: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+        carry: &DisjointSlice<'_, T>,
+    ) {
         for t in tiles {
             let tile = a.tile(t);
             let mid_row_start = a.tile_starts_mid_row(t);
@@ -302,13 +278,12 @@ pub fn csr5_spmm<T: Scalar, I: Index>(
                     Some(&(_, next)) => next.as_usize(),
                     None => tile.entry_hi,
                 };
-                // SAFETY: a row's direct writes belong to the single tile
-                // containing the row's first entry; continuation tiles use
-                // their private carry row instead.
+                // SAFETY: row ownership per this fn's contract; continuation
+                // tiles use their private carry row instead.
                 let c_row = if s == 0 && mid_row_start {
-                    unsafe { carry_slice.slice_mut(t * k, k) }
+                    unsafe { carry.slice_mut(t * k, k) }
                 } else {
-                    unsafe { c_slice.slice_mut(row.as_usize() * k_cols, k_cols) }
+                    unsafe { c.slice_mut(row.as_usize() * k, k) }
                 };
                 for e in seg_lo..seg_hi {
                     let local = e - tile.entry_lo;
@@ -319,17 +294,6 @@ pub fn csr5_spmm<T: Scalar, I: Index>(
                         k,
                     );
                 }
-            }
-        }
-    });
-
-    // Sequential carry fix-up (CSR5's calibration step).
-    for t in 0..ntiles {
-        if a.tile_starts_mid_row(t) {
-            let row = a.tile(t).segments[0].0.as_usize();
-            let c_row = c.row_mut(row);
-            for (cv, &add) in c_row[..k].iter_mut().zip(&carry[t * k..t * k + k]) {
-                *cv += add;
             }
         }
     }

@@ -2,13 +2,24 @@
 //!
 //! These are the paper's baseline calculation functions. All overwrite `C`
 //! (shape `a.rows() × k`), reading the first `k` columns of `B`.
+//!
+//! Each format's loop is one `#[inline(always)]` body over a row range
+//! (block-row range for BCSR, strip range for BELL, tile range for CSR5,
+//! row-aligned entry range for COO) that writes C through a
+//! `DisjointSlice`. `isa_twin!` compiles every body for the baseline
+//! target and for AVX2+FMA; the entry points here run it once over the
+//! whole matrix at [`active_level`], and [`crate::parallel`] runs it once
+//! per chunk.
+
+use std::ops::Range;
 
 use spmm_core::{
     BcsrMatrix, BellMatrix, CooMatrix, Csr5Matrix, CsrMatrix, DenseMatrix, EllMatrix, Index, Scalar,
 };
 
 use crate::check_spmm_shapes;
-use crate::util::axpy;
+use crate::simd::active_level;
+use crate::util::{axpy, isa_twin, DisjointSlice};
 
 /// COO SpMM: a single pass over the triplets.
 pub fn coo_spmm<T: Scalar, I: Index>(
@@ -19,9 +30,10 @@ pub fn coo_spmm<T: Scalar, I: Index>(
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
     c.clear();
-    for ((&r, &j), &v) in a.row_indices().iter().zip(a.col_indices()).zip(a.values()) {
-        axpy(c.row_mut(r.as_usize()), v, b.row(j.as_usize()), k);
-    }
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY (this and every serial entry point below): the only writer
+    // of C, shapes checked, and the level comes from `active_level`.
+    unsafe { coo_entries(active_level(), a, b, k, 0..a.nnz(), &c) };
 }
 
 /// CSR SpMM: row loop over the compressed rows.
@@ -32,14 +44,9 @@ pub fn csr_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    for i in 0..a.rows() {
-        let (cols, vals) = a.row(i);
-        let c_row = c.row_mut(i);
-        c_row[..k].fill(T::ZERO);
-        for (&j, &v) in cols.iter().zip(vals) {
-            axpy(c_row, v, b.row(j.as_usize()), k);
-        }
-    }
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY: as in `coo_spmm`.
+    unsafe { csr_rows(active_level(), a, b, k, 0..a.rows(), &c) };
 }
 
 /// ELLPACK SpMM: fixed-width slot loop. Padding slots multiply an explicit
@@ -52,15 +59,9 @@ pub fn ell_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    for i in 0..a.rows() {
-        let cols = a.row_cols(i);
-        let vals = a.row_vals(i);
-        let c_row = c.row_mut(i);
-        c_row[..k].fill(T::ZERO);
-        for (&j, &v) in cols.iter().zip(vals) {
-            axpy(c_row, v, b.row(j.as_usize()), k);
-        }
-    }
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY: as in `coo_spmm`.
+    unsafe { ell_rows(active_level(), a, b, k, 0..a.rows(), &c) };
 }
 
 /// BCSR SpMM: block-row loop; each stored block contributes a dense
@@ -72,29 +73,9 @@ pub fn bcsr_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    c.clear();
-    let (r, bc_w) = (a.block_r(), a.block_c());
-    let rows = a.rows();
-    let cols = a.cols();
-    for bi in 0..a.block_rows() {
-        let row_lo = bi * r;
-        let row_hi = (row_lo + r).min(rows);
-        for (bcol, block) in a.block_row(bi) {
-            let col_lo = bcol * bc_w;
-            for i in row_lo..row_hi {
-                let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
-                let c_row = c.row_mut(i);
-                for (lc, &v) in brow.iter().enumerate() {
-                    let j = col_lo + lc;
-                    // Ragged edge blocks may extend past the matrix; their
-                    // out-of-range slots are zero but must not index B.
-                    if j < cols && v != T::ZERO {
-                        axpy(c_row, v, b.row(j), k);
-                    }
-                }
-            }
-        }
-    }
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY: as in `coo_spmm`.
+    unsafe { bcsr_block_rows(active_level(), a, b, k, 0..a.block_rows(), &c) };
 }
 
 /// Blocked-ELLPACK SpMM: strip loop over the ELL-padded block slots.
@@ -105,29 +86,9 @@ pub fn bell_spmm<T: Scalar, I: Index>(
     c: &mut DenseMatrix<T>,
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
-    c.clear();
-    let (r, bc_w) = (a.block_r(), a.block_c());
-    let rows = a.rows();
-    let cols = a.cols();
-    for s in 0..a.strips() {
-        let row_lo = s * r;
-        let row_hi = (row_lo + r).min(rows);
-        for slot in 0..a.block_width() {
-            let bcol = a.slot_block_col(s, slot);
-            let block = a.slot_values(s, slot);
-            let col_lo = bcol * bc_w;
-            for i in row_lo..row_hi {
-                let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
-                let c_row = c.row_mut(i);
-                for (lc, &v) in brow.iter().enumerate() {
-                    let j = col_lo + lc;
-                    if j < cols && v != T::ZERO {
-                        axpy(c_row, v, b.row(j), k);
-                    }
-                }
-            }
-        }
-    }
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY: as in `coo_spmm`.
+    unsafe { bell_strips(active_level(), a, b, k, 0..a.strips(), &c) };
 }
 
 /// CSR5-style SpMM: tile loop with segment-local accumulation. Serially the
@@ -141,23 +102,172 @@ pub fn csr5_spmm<T: Scalar, I: Index>(
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
     c.clear();
-    for t in 0..a.ntiles() {
-        let tile = a.tile(t);
-        for (s, &(row, start)) in tile.segments.iter().enumerate() {
-            let seg_lo = start.as_usize().max(tile.entry_lo);
-            let seg_hi = match tile.segments.get(s + 1) {
-                Some(&(_, next)) => next.as_usize(),
-                None => tile.entry_hi,
-            };
-            let c_row = c.row_mut(row.as_usize());
-            for e in seg_lo..seg_hi {
-                let local = e - tile.entry_lo;
-                axpy(
-                    c_row,
-                    tile.values[local],
-                    b.row(tile.col_idx[local].as_usize()),
-                    k,
-                );
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY: as in `coo_spmm`.
+    unsafe { csr5_tiles(active_level(), a, b, k, 0..a.ntiles(), &c) };
+}
+
+// ---------------------------------------------------------------------------
+// Range bodies. `c` is C's `a.rows() × k` buffer (row pitch `k`).
+//
+// SAFETY contract (all): shapes passed `check_spmm_shapes`, and this call
+// has exclusive access to every C row its range writes.
+// ---------------------------------------------------------------------------
+
+isa_twin! {
+    /// `C[r] += v · B[j]` over the COO entries in `entries`. Accumulates (the
+    /// caller clears C); a C row is written by every entry of that row, so a
+    /// parallel caller must cut `entries` at row boundaries.
+    pub(crate) unsafe fn coo_entries<T: Scalar, I: Index>(
+        a: &CooMatrix<T, I>,
+        b: &DenseMatrix<T>,
+        k: usize,
+        entries: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        let (rows, cols, vals) = (a.row_indices(), a.col_indices(), a.values());
+        for e in entries {
+            // SAFETY: exclusive row access per the contract above.
+            let c_row = unsafe { c.slice_mut(rows[e].as_usize() * k, k) };
+            axpy(c_row, vals[e], b.row(cols[e].as_usize()), k);
+        }
+    }
+
+    /// CSR rows `rows` of C, each zeroed then accumulated.
+    pub(crate) unsafe fn csr_rows<T: Scalar, I: Index>(
+        a: &CsrMatrix<T, I>,
+        b: &DenseMatrix<T>,
+        k: usize,
+        rows: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        for i in rows {
+            // SAFETY: exclusive row access per the contract above.
+            let c_row = unsafe { c.slice_mut(i * k, k) };
+            c_row.fill(T::ZERO);
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                axpy(c_row, v, b.row(j.as_usize()), k);
+            }
+        }
+    }
+
+    /// ELLPACK rows `rows` of C, each zeroed then accumulated.
+    pub(crate) unsafe fn ell_rows<T: Scalar, I: Index>(
+        a: &EllMatrix<T, I>,
+        b: &DenseMatrix<T>,
+        k: usize,
+        rows: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        for i in rows {
+            // SAFETY: exclusive row access per the contract above.
+            let c_row = unsafe { c.slice_mut(i * k, k) };
+            c_row.fill(T::ZERO);
+            for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+                axpy(c_row, v, b.row(j.as_usize()), k);
+            }
+        }
+    }
+
+    /// The C rows of BCSR block rows `block_rows`, zeroed then accumulated
+    /// block by block.
+    pub(crate) unsafe fn bcsr_block_rows<T: Scalar, I: Index>(
+        a: &BcsrMatrix<T, I>,
+        b: &DenseMatrix<T>,
+        k: usize,
+        block_rows: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        let (r, bc_w) = (a.block_r(), a.block_c());
+        let (rows, cols) = (a.rows(), a.cols());
+        for bi in block_rows {
+            let row_lo = bi * r;
+            let row_hi = (row_lo + r).min(rows);
+            // SAFETY: exclusive row access per the contract above.
+            unsafe { c.slice_mut(row_lo * k, (row_hi - row_lo) * k) }.fill(T::ZERO);
+            for (bcol, block) in a.block_row(bi) {
+                let col_lo = bcol * bc_w;
+                for i in row_lo..row_hi {
+                    let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
+                    // SAFETY: as above.
+                    let c_row = unsafe { c.slice_mut(i * k, k) };
+                    for (lc, &v) in brow.iter().enumerate() {
+                        let j = col_lo + lc;
+                        // Ragged edge blocks may extend past the matrix; their
+                        // out-of-range slots are zero but must not index B.
+                        if j < cols && v != T::ZERO {
+                            axpy(c_row, v, b.row(j), k);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The C rows of BELL strips `strips`, zeroed then accumulated slot by
+    /// slot.
+    pub(crate) unsafe fn bell_strips<T: Scalar, I: Index>(
+        a: &BellMatrix<T, I>,
+        b: &DenseMatrix<T>,
+        k: usize,
+        strips: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        let (r, bc_w) = (a.block_r(), a.block_c());
+        let (rows, cols) = (a.rows(), a.cols());
+        for s in strips {
+            let row_lo = s * r;
+            let row_hi = (row_lo + r).min(rows);
+            // SAFETY: exclusive row access per the contract above.
+            unsafe { c.slice_mut(row_lo * k, (row_hi - row_lo) * k) }.fill(T::ZERO);
+            for slot in 0..a.block_width() {
+                let col_lo = a.slot_block_col(s, slot) * bc_w;
+                let block = a.slot_values(s, slot);
+                for i in row_lo..row_hi {
+                    let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
+                    // SAFETY: as above.
+                    let c_row = unsafe { c.slice_mut(i * k, k) };
+                    for (lc, &v) in brow.iter().enumerate() {
+                        let j = col_lo + lc;
+                        if j < cols && v != T::ZERO {
+                            axpy(c_row, v, b.row(j), k);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// CSR5 tiles `tiles`, accumulated straight into C (the caller clears
+    /// it). Serial only: a row that straddles tiles is written by each of
+    /// them, which [`crate::parallel::csr5_spmm`]'s carry body avoids.
+    unsafe fn csr5_tiles<T: Scalar, I: Index>(
+        a: &Csr5Matrix<T, I>,
+        b: &DenseMatrix<T>,
+        k: usize,
+        tiles: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        for t in tiles {
+            let tile = a.tile(t);
+            for (s, &(row, start)) in tile.segments.iter().enumerate() {
+                let seg_lo = start.as_usize().max(tile.entry_lo);
+                let seg_hi = match tile.segments.get(s + 1) {
+                    Some(&(_, next)) => next.as_usize(),
+                    None => tile.entry_hi,
+                };
+                // SAFETY: exclusive row access per the contract above.
+                let c_row = unsafe { c.slice_mut(row.as_usize() * k, k) };
+                for e in seg_lo..seg_hi {
+                    let local = e - tile.entry_lo;
+                    axpy(
+                        c_row,
+                        tile.values[local],
+                        b.row(tile.col_idx[local].as_usize()),
+                        k,
+                    );
+                }
             }
         }
     }

@@ -768,7 +768,13 @@ mod tests {
     #[test]
     fn override_clamps_to_hardware_and_restores() {
         // The only test that touches the process-global override (others
-        // pin levels through the `_at` variants).
+        // pin levels through the `_at` variants). Auto-detection honours
+        // `SPMM_SIMD`, so it picks the hardware level only without it.
+        set_level_override(None);
+        let auto = active_level();
+        if std::env::var_os("SPMM_SIMD").is_none() {
+            assert_eq!(auto, hardware_level());
+        }
         set_level_override(Some(SimdLevel::Scalar));
         assert_eq!(active_level(), SimdLevel::Scalar);
         // A level from another ISA (or an absent one) clamps to Scalar
@@ -782,6 +788,6 @@ mod tests {
         set_level_override(Some(hardware_level()));
         assert_eq!(active_level(), hardware_level());
         set_level_override(None);
-        assert_eq!(active_level(), hardware_level());
+        assert_eq!(active_level(), auto);
     }
 }

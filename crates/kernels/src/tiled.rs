@@ -44,7 +44,7 @@ use spmm_parallel::{Schedule, ThreadPool};
 
 use crate::optimized::{axpy_const, dispatch_const_k};
 use crate::simd::SimdLevel;
-use crate::util::{axpy, DisjointSlice};
+use crate::util::{axpy, isa_twin, DisjointSlice};
 
 /// Register-tile heights with dedicated instantiations; `TileConfig`
 /// rounds any requested `row_block` down to one of these.
@@ -124,335 +124,215 @@ fn check_tiled_shapes<T: Scalar>(
 }
 
 // ---------------------------------------------------------------------------
-// Const-width micro-kernels. All take the C buffer as a `DisjointSlice`
-// so the serial and 2-D parallel drivers share one implementation.
+// Micro-kernels. All take the C buffer as a `DisjointSlice` so the serial
+// and 2-D parallel drivers share one implementation, and `isa_twin!`
+// compiles each for the baseline target and for AVX2+FMA (recompiling the
+// shared `axpy_const` / `axpy` inner loops, so the MR × W register tile
+// lives in vector registers).
 //
-// SAFETY contract (all three): the caller must guarantee this call has
+// SAFETY contract (all): the caller must guarantee this call has
 // exclusive access to the C elements `{rows}` × `[col_off, col_off + W)`,
 // that `rows` is within `0..a.rows()`, that `panel` is the packed panel
 // covering columns `[col_off, col_off + W)` of B with `a.cols()` rows,
 // and that `pitch == c.cols() == packed.k()`.
 // ---------------------------------------------------------------------------
 
-/// CSR register tile: `MR` rows of A against one `W`-wide panel.
-/// `inline(always)` so the AVX2 wrappers in [`simd_wrappers`] recompile
-/// this body with the vector features enabled.
-#[inline(always)]
-unsafe fn csr_tile<T: Scalar, I: Index, const MR: usize, const W: usize>(
-    a: &CsrMatrix<T, I>,
-    rows: Range<usize>,
-    panel: &[T],
-    col_off: usize,
-    c: &DisjointSlice<'_, T>,
-    pitch: usize,
-) {
-    let mut i = rows.start;
-    while i + MR <= rows.end {
-        let mut acc = [[T::ZERO; W]; MR];
-        for r in 0..MR {
-            let (cols, vals) = a.row(i + r);
-            for (&j, &v) in cols.iter().zip(vals) {
-                axpy_const(&mut acc[r], v, &panel[j.as_usize() * W..]);
-            }
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            // SAFETY: tile ownership per the module contract above.
-            unsafe { c.slice_mut((i + r) * pitch + col_off, W) }.copy_from_slice(acc_row);
-        }
-        i += MR;
-    }
-    // Ragged tail of the row chunk: single-row tiles.
-    while i < rows.end {
-        let mut acc = [T::ZERO; W];
-        let (cols, vals) = a.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            axpy_const(&mut acc, v, &panel[j.as_usize() * W..]);
-        }
-        // SAFETY: as above.
-        unsafe { c.slice_mut(i * pitch + col_off, W) }.copy_from_slice(&acc);
-        i += 1;
-    }
-}
-
-/// ELLPACK register tile. Identical structure to [`csr_tile`]; padding
-/// slots multiply an explicit zero like the flat ELL kernels do.
-#[inline(always)]
-unsafe fn ell_tile<T: Scalar, I: Index, const MR: usize, const W: usize>(
-    a: &EllMatrix<T, I>,
-    rows: Range<usize>,
-    panel: &[T],
-    col_off: usize,
-    c: &DisjointSlice<'_, T>,
-    pitch: usize,
-) {
-    let mut i = rows.start;
-    while i + MR <= rows.end {
-        let mut acc = [[T::ZERO; W]; MR];
-        for r in 0..MR {
-            let (cols, vals) = (a.row_cols(i + r), a.row_vals(i + r));
-            for (&j, &v) in cols.iter().zip(vals) {
-                axpy_const(&mut acc[r], v, &panel[j.as_usize() * W..]);
-            }
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            // SAFETY: tile ownership per the module contract above.
-            unsafe { c.slice_mut((i + r) * pitch + col_off, W) }.copy_from_slice(acc_row);
-        }
-        i += MR;
-    }
-    while i < rows.end {
-        let mut acc = [T::ZERO; W];
-        let (cols, vals) = (a.row_cols(i), a.row_vals(i));
-        for (&j, &v) in cols.iter().zip(vals) {
-            axpy_const(&mut acc, v, &panel[j.as_usize() * W..]);
-        }
-        // SAFETY: as above.
-        unsafe { c.slice_mut(i * pitch + col_off, W) }.copy_from_slice(&acc);
-        i += 1;
-    }
-}
-
-/// BCSR panel tile over a range of *block* rows. The register tile is the
-/// natural `block_r × W` accumulator of one block row; MR is not used
-/// because the block height is a runtime property of the format.
-#[inline(always)]
-unsafe fn bcsr_tile<T: Scalar, I: Index, const W: usize>(
-    a: &BcsrMatrix<T, I>,
-    block_rows: Range<usize>,
-    panel: &[T],
-    col_off: usize,
-    c: &DisjointSlice<'_, T>,
-    pitch: usize,
-) {
-    let (r, bc_w) = (a.block_r(), a.block_c());
-    let rows = a.rows();
-    let cols = a.cols();
-    for bi in block_rows {
-        let row_lo = bi * r;
-        let row_hi = (row_lo + r).min(rows);
-        for i in row_lo..row_hi {
-            let mut acc = [T::ZERO; W];
-            for (bcol, block) in a.block_row(bi) {
-                let col_lo = bcol * bc_w;
-                let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
-                for (lc, &v) in brow.iter().enumerate() {
-                    let j = col_lo + lc;
-                    // Ragged edge blocks may extend past the matrix; their
-                    // out-of-range slots are zero but must not index B.
-                    if j < cols && v != T::ZERO {
-                        axpy_const(&mut acc, v, &panel[j * W..]);
-                    }
+isa_twin! {
+    /// CSR register tile: `MR` rows of A against one `W`-wide panel.
+    unsafe fn csr_tile<T: Scalar, I: Index, const MR: usize, const W: usize>(
+        a: &CsrMatrix<T, I>,
+        rows: Range<usize>,
+        panel: &[T],
+        col_off: usize,
+        c: &DisjointSlice<'_, T>,
+        pitch: usize,
+    ) {
+        let mut i = rows.start;
+        while i + MR <= rows.end {
+            let mut acc = [[T::ZERO; W]; MR];
+            for r in 0..MR {
+                let (cols, vals) = a.row(i + r);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    axpy_const(&mut acc[r], v, &panel[j.as_usize() * W..]);
                 }
             }
-            // SAFETY: tile ownership per the module contract above.
+            for (r, acc_row) in acc.iter().enumerate() {
+                // SAFETY: tile ownership per the module contract above.
+                unsafe { c.slice_mut((i + r) * pitch + col_off, W) }.copy_from_slice(acc_row);
+            }
+            i += MR;
+        }
+        // Ragged tail of the row chunk: single-row tiles.
+        while i < rows.end {
+            let mut acc = [T::ZERO; W];
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                axpy_const(&mut acc, v, &panel[j.as_usize() * W..]);
+            }
+            // SAFETY: as above.
             unsafe { c.slice_mut(i * pitch + col_off, W) }.copy_from_slice(&acc);
+            i += 1;
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Runtime-width fallbacks for panel widths outside SUPPORTED_K (ragged
-// last panels, odd user-chosen widths). Same SAFETY contract.
-// ---------------------------------------------------------------------------
-
-#[inline(always)]
-unsafe fn csr_tile_any<T: Scalar, I: Index>(
-    a: &CsrMatrix<T, I>,
-    rows: Range<usize>,
-    panel: &[T],
-    w: usize,
-    col_off: usize,
-    c: &DisjointSlice<'_, T>,
-    pitch: usize,
-) {
-    for i in rows {
-        // SAFETY: tile ownership per the module contract above.
-        let c_row = unsafe { c.slice_mut(i * pitch + col_off, w) };
-        c_row.fill(T::ZERO);
-        let (cols, vals) = a.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            axpy(c_row, v, &panel[j.as_usize() * w..], w);
+    /// ELLPACK register tile. Identical structure to [`csr_tile`]; padding
+    /// slots multiply an explicit zero like the flat ELL kernels do.
+    unsafe fn ell_tile<T: Scalar, I: Index, const MR: usize, const W: usize>(
+        a: &EllMatrix<T, I>,
+        rows: Range<usize>,
+        panel: &[T],
+        col_off: usize,
+        c: &DisjointSlice<'_, T>,
+        pitch: usize,
+    ) {
+        let mut i = rows.start;
+        while i + MR <= rows.end {
+            let mut acc = [[T::ZERO; W]; MR];
+            for r in 0..MR {
+                let (cols, vals) = (a.row_cols(i + r), a.row_vals(i + r));
+                for (&j, &v) in cols.iter().zip(vals) {
+                    axpy_const(&mut acc[r], v, &panel[j.as_usize() * W..]);
+                }
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                // SAFETY: tile ownership per the module contract above.
+                unsafe { c.slice_mut((i + r) * pitch + col_off, W) }.copy_from_slice(acc_row);
+            }
+            i += MR;
+        }
+        while i < rows.end {
+            let mut acc = [T::ZERO; W];
+            let (cols, vals) = (a.row_cols(i), a.row_vals(i));
+            for (&j, &v) in cols.iter().zip(vals) {
+                axpy_const(&mut acc, v, &panel[j.as_usize() * W..]);
+            }
+            // SAFETY: as above.
+            unsafe { c.slice_mut(i * pitch + col_off, W) }.copy_from_slice(&acc);
+            i += 1;
         }
     }
-}
 
-#[inline(always)]
-unsafe fn ell_tile_any<T: Scalar, I: Index>(
-    a: &EllMatrix<T, I>,
-    rows: Range<usize>,
-    panel: &[T],
-    w: usize,
-    col_off: usize,
-    c: &DisjointSlice<'_, T>,
-    pitch: usize,
-) {
-    for i in rows {
-        // SAFETY: tile ownership per the module contract above.
-        let c_row = unsafe { c.slice_mut(i * pitch + col_off, w) };
-        c_row.fill(T::ZERO);
-        let (cols, vals) = (a.row_cols(i), a.row_vals(i));
-        for (&j, &v) in cols.iter().zip(vals) {
-            axpy(c_row, v, &panel[j.as_usize() * w..], w);
+    /// BCSR panel tile over a range of *block* rows. The register tile is the
+    /// natural `block_r × W` accumulator of one block row; MR is not used
+    /// because the block height is a runtime property of the format.
+    unsafe fn bcsr_tile<T: Scalar, I: Index, const W: usize>(
+        a: &BcsrMatrix<T, I>,
+        block_rows: Range<usize>,
+        panel: &[T],
+        col_off: usize,
+        c: &DisjointSlice<'_, T>,
+        pitch: usize,
+    ) {
+        let (r, bc_w) = (a.block_r(), a.block_c());
+        let rows = a.rows();
+        let cols = a.cols();
+        for bi in block_rows {
+            let row_lo = bi * r;
+            let row_hi = (row_lo + r).min(rows);
+            for i in row_lo..row_hi {
+                let mut acc = [T::ZERO; W];
+                for (bcol, block) in a.block_row(bi) {
+                    let col_lo = bcol * bc_w;
+                    let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
+                    for (lc, &v) in brow.iter().enumerate() {
+                        let j = col_lo + lc;
+                        // Ragged edge blocks may extend past the matrix; their
+                        // out-of-range slots are zero but must not index B.
+                        if j < cols && v != T::ZERO {
+                            axpy_const(&mut acc, v, &panel[j * W..]);
+                        }
+                    }
+                }
+                // SAFETY: tile ownership per the module contract above.
+                unsafe { c.slice_mut(i * pitch + col_off, W) }.copy_from_slice(&acc);
+            }
         }
     }
-}
 
-#[inline(always)]
-unsafe fn bcsr_tile_any<T: Scalar, I: Index>(
-    a: &BcsrMatrix<T, I>,
-    block_rows: Range<usize>,
-    panel: &[T],
-    w: usize,
-    col_off: usize,
-    c: &DisjointSlice<'_, T>,
-    pitch: usize,
-) {
-    let (r, bc_w) = (a.block_r(), a.block_c());
-    let rows = a.rows();
-    let cols = a.cols();
-    for bi in block_rows {
-        let row_lo = bi * r;
-        let row_hi = (row_lo + r).min(rows);
-        for i in row_lo..row_hi {
+    // Runtime-width fallbacks for panel widths outside SUPPORTED_K (ragged
+    // last panels, odd user-chosen widths).
+
+    unsafe fn csr_tile_any<T: Scalar, I: Index>(
+        a: &CsrMatrix<T, I>,
+        rows: Range<usize>,
+        panel: &[T],
+        w: usize,
+        col_off: usize,
+        c: &DisjointSlice<'_, T>,
+        pitch: usize,
+    ) {
+        for i in rows {
             // SAFETY: tile ownership per the module contract above.
             let c_row = unsafe { c.slice_mut(i * pitch + col_off, w) };
             c_row.fill(T::ZERO);
-            for (bcol, block) in a.block_row(bi) {
-                let col_lo = bcol * bc_w;
-                let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
-                for (lc, &v) in brow.iter().enumerate() {
-                    let j = col_lo + lc;
-                    if j < cols && v != T::ZERO {
-                        axpy(c_row, v, &panel[j * w..], w);
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                axpy(c_row, v, &panel[j.as_usize() * w..], w);
+            }
+        }
+    }
+
+    unsafe fn ell_tile_any<T: Scalar, I: Index>(
+        a: &EllMatrix<T, I>,
+        rows: Range<usize>,
+        panel: &[T],
+        w: usize,
+        col_off: usize,
+        c: &DisjointSlice<'_, T>,
+        pitch: usize,
+    ) {
+        for i in rows {
+            // SAFETY: tile ownership per the module contract above.
+            let c_row = unsafe { c.slice_mut(i * pitch + col_off, w) };
+            c_row.fill(T::ZERO);
+            let (cols, vals) = (a.row_cols(i), a.row_vals(i));
+            for (&j, &v) in cols.iter().zip(vals) {
+                axpy(c_row, v, &panel[j.as_usize() * w..], w);
+            }
+        }
+    }
+
+    unsafe fn bcsr_tile_any<T: Scalar, I: Index>(
+        a: &BcsrMatrix<T, I>,
+        block_rows: Range<usize>,
+        panel: &[T],
+        w: usize,
+        col_off: usize,
+        c: &DisjointSlice<'_, T>,
+        pitch: usize,
+    ) {
+        let (r, bc_w) = (a.block_r(), a.block_c());
+        let rows = a.rows();
+        let cols = a.cols();
+        for bi in block_rows {
+            let row_lo = bi * r;
+            let row_hi = (row_lo + r).min(rows);
+            for i in row_lo..row_hi {
+                // SAFETY: tile ownership per the module contract above.
+                let c_row = unsafe { c.slice_mut(i * pitch + col_off, w) };
+                c_row.fill(T::ZERO);
+                for (bcol, block) in a.block_row(bi) {
+                    let col_lo = bcol * bc_w;
+                    let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
+                    for (lc, &v) in brow.iter().enumerate() {
+                        let j = col_lo + lc;
+                        if j < cols && v != T::ZERO {
+                            axpy(c_row, v, &panel[j * w..], w);
+                        }
                     }
                 }
             }
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// AVX2+FMA instantiations. Each wrapper carries `#[target_feature]` and
-// simply calls the `inline(always)` portable body: LLVM inlines the body
-// into the wrapper and recompiles it (including the shared `axpy_const` /
-// `axpy` inner loops) with 256-bit FMA, turning the MR × W register tile
-// into actual vector registers. The panel drivers pick the wrapper or the
-// portable symbol per the dispatched [`SimdLevel`].
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod simd_wrappers {
-    use super::*;
-
-    /// # Safety
-    /// [`super::csr_tile`]'s module contract, plus AVX2 and FMA must be
-    /// available on the running CPU (guaranteed by level dispatch).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn csr_tile_avx2<T: Scalar, I: Index, const MR: usize, const W: usize>(
-        a: &CsrMatrix<T, I>,
-        rows: Range<usize>,
-        panel: &[T],
-        col_off: usize,
-        c: &DisjointSlice<'_, T>,
-        pitch: usize,
-    ) {
-        // SAFETY: contract forwarded verbatim.
-        unsafe { csr_tile::<T, I, MR, W>(a, rows, panel, col_off, c, pitch) }
-    }
-
-    /// # Safety
-    /// As [`csr_tile_avx2`], for [`super::ell_tile`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn ell_tile_avx2<T: Scalar, I: Index, const MR: usize, const W: usize>(
-        a: &EllMatrix<T, I>,
-        rows: Range<usize>,
-        panel: &[T],
-        col_off: usize,
-        c: &DisjointSlice<'_, T>,
-        pitch: usize,
-    ) {
-        // SAFETY: contract forwarded verbatim.
-        unsafe { ell_tile::<T, I, MR, W>(a, rows, panel, col_off, c, pitch) }
-    }
-
-    /// # Safety
-    /// As [`csr_tile_avx2`], for [`super::bcsr_tile`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn bcsr_tile_avx2<T: Scalar, I: Index, const W: usize>(
-        a: &BcsrMatrix<T, I>,
-        block_rows: Range<usize>,
-        panel: &[T],
-        col_off: usize,
-        c: &DisjointSlice<'_, T>,
-        pitch: usize,
-    ) {
-        // SAFETY: contract forwarded verbatim.
-        unsafe { bcsr_tile::<T, I, W>(a, block_rows, panel, col_off, c, pitch) }
-    }
-
-    /// # Safety
-    /// As [`csr_tile_avx2`], for [`super::csr_tile_any`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn csr_tile_any_avx2<T: Scalar, I: Index>(
-        a: &CsrMatrix<T, I>,
-        rows: Range<usize>,
-        panel: &[T],
-        w: usize,
-        col_off: usize,
-        c: &DisjointSlice<'_, T>,
-        pitch: usize,
-    ) {
-        // SAFETY: contract forwarded verbatim.
-        unsafe { csr_tile_any(a, rows, panel, w, col_off, c, pitch) }
-    }
-
-    /// # Safety
-    /// As [`csr_tile_avx2`], for [`super::ell_tile_any`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn ell_tile_any_avx2<T: Scalar, I: Index>(
-        a: &EllMatrix<T, I>,
-        rows: Range<usize>,
-        panel: &[T],
-        w: usize,
-        col_off: usize,
-        c: &DisjointSlice<'_, T>,
-        pitch: usize,
-    ) {
-        // SAFETY: contract forwarded verbatim.
-        unsafe { ell_tile_any(a, rows, panel, w, col_off, c, pitch) }
-    }
-
-    /// # Safety
-    /// As [`csr_tile_avx2`], for [`super::bcsr_tile_any`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn bcsr_tile_any_avx2<T: Scalar, I: Index>(
-        a: &BcsrMatrix<T, I>,
-        block_rows: Range<usize>,
-        panel: &[T],
-        w: usize,
-        col_off: usize,
-        c: &DisjointSlice<'_, T>,
-        pitch: usize,
-    ) {
-        // SAFETY: contract forwarded verbatim.
-        unsafe { bcsr_tile_any(a, block_rows, panel, w, col_off, c, pitch) }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-use simd_wrappers::{
-    bcsr_tile_any_avx2, bcsr_tile_avx2, csr_tile_any_avx2, csr_tile_avx2, ell_tile_any_avx2,
-    ell_tile_avx2,
-};
 
 // ---------------------------------------------------------------------------
 // Per-(rows × panel) drivers: dispatch width + MR (and the SIMD level)
 // onto the micro-kernels. Same SAFETY contract as the micro-kernels they
-// call; the AVX2 arms additionally rely on `level` having come from the
-// verified-probe path in `crate::simd`.
+// call, plus `level` must have come from the verified-probe path in
+// `crate::simd`.
 // ---------------------------------------------------------------------------
 
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 #[allow(clippy::too_many_arguments)]
 unsafe fn csr_panel_tile<T: Scalar, I: Index>(
     a: &CsrMatrix<T, I>,
@@ -467,46 +347,24 @@ unsafe fn csr_panel_tile<T: Scalar, I: Index>(
     let w = packed.width(p);
     let off = packed.panel_start(p);
     let panel = packed.panel(p);
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2Fma {
-        // SAFETY (every arm): forwarded from this fn's contract; AVX2+FMA
-        // verified for this level.
-        let handled = match mr {
-            1 => {
-                dispatch_const_k!(w, unsafe csr_tile_avx2::<T, I, {1}>(a, rows.clone(), panel, off, c, pitch))
-            }
-            2 => {
-                dispatch_const_k!(w, unsafe csr_tile_avx2::<T, I, {2}>(a, rows.clone(), panel, off, c, pitch))
-            }
-            _ => {
-                dispatch_const_k!(w, unsafe csr_tile_avx2::<T, I, {4}>(a, rows.clone(), panel, off, c, pitch))
-            }
-        };
-        if !handled {
-            // SAFETY: forwarded; AVX2+FMA verified for this level.
-            unsafe { csr_tile_any_avx2(a, rows, panel, w, off, c, pitch) };
-        }
-        return;
-    }
     // SAFETY (for every dispatched call): forwarded from this fn's contract.
     let handled = match mr {
         1 => {
-            dispatch_const_k!(w, unsafe csr_tile::<T, I, {1}>(a, rows.clone(), panel, off, c, pitch))
+            dispatch_const_k!(w, unsafe csr_tile::<T, I, {1}>(level, a, rows.clone(), panel, off, c, pitch))
         }
         2 => {
-            dispatch_const_k!(w, unsafe csr_tile::<T, I, {2}>(a, rows.clone(), panel, off, c, pitch))
+            dispatch_const_k!(w, unsafe csr_tile::<T, I, {2}>(level, a, rows.clone(), panel, off, c, pitch))
         }
         _ => {
-            dispatch_const_k!(w, unsafe csr_tile::<T, I, {4}>(a, rows.clone(), panel, off, c, pitch))
+            dispatch_const_k!(w, unsafe csr_tile::<T, I, {4}>(level, a, rows.clone(), panel, off, c, pitch))
         }
     };
     if !handled {
         // SAFETY: forwarded.
-        unsafe { csr_tile_any(a, rows, panel, w, off, c, pitch) };
+        unsafe { csr_tile_any(level, a, rows, panel, w, off, c, pitch) };
     }
 }
 
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 #[allow(clippy::too_many_arguments)]
 unsafe fn ell_panel_tile<T: Scalar, I: Index>(
     a: &EllMatrix<T, I>,
@@ -521,45 +379,24 @@ unsafe fn ell_panel_tile<T: Scalar, I: Index>(
     let w = packed.width(p);
     let off = packed.panel_start(p);
     let panel = packed.panel(p);
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2Fma {
-        // SAFETY (every arm): forwarded; AVX2+FMA verified for this level.
-        let handled = match mr {
-            1 => {
-                dispatch_const_k!(w, unsafe ell_tile_avx2::<T, I, {1}>(a, rows.clone(), panel, off, c, pitch))
-            }
-            2 => {
-                dispatch_const_k!(w, unsafe ell_tile_avx2::<T, I, {2}>(a, rows.clone(), panel, off, c, pitch))
-            }
-            _ => {
-                dispatch_const_k!(w, unsafe ell_tile_avx2::<T, I, {4}>(a, rows.clone(), panel, off, c, pitch))
-            }
-        };
-        if !handled {
-            // SAFETY: forwarded; AVX2+FMA verified for this level.
-            unsafe { ell_tile_any_avx2(a, rows, panel, w, off, c, pitch) };
-        }
-        return;
-    }
     // SAFETY (for every dispatched call): forwarded from this fn's contract.
     let handled = match mr {
         1 => {
-            dispatch_const_k!(w, unsafe ell_tile::<T, I, {1}>(a, rows.clone(), panel, off, c, pitch))
+            dispatch_const_k!(w, unsafe ell_tile::<T, I, {1}>(level, a, rows.clone(), panel, off, c, pitch))
         }
         2 => {
-            dispatch_const_k!(w, unsafe ell_tile::<T, I, {2}>(a, rows.clone(), panel, off, c, pitch))
+            dispatch_const_k!(w, unsafe ell_tile::<T, I, {2}>(level, a, rows.clone(), panel, off, c, pitch))
         }
         _ => {
-            dispatch_const_k!(w, unsafe ell_tile::<T, I, {4}>(a, rows.clone(), panel, off, c, pitch))
+            dispatch_const_k!(w, unsafe ell_tile::<T, I, {4}>(level, a, rows.clone(), panel, off, c, pitch))
         }
     };
     if !handled {
         // SAFETY: forwarded.
-        unsafe { ell_tile_any(a, rows, panel, w, off, c, pitch) };
+        unsafe { ell_tile_any(level, a, rows, panel, w, off, c, pitch) };
     }
 }
 
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 unsafe fn bcsr_panel_tile<T: Scalar, I: Index>(
     a: &BcsrMatrix<T, I>,
     packed: &PackedPanels<T>,
@@ -572,25 +409,14 @@ unsafe fn bcsr_panel_tile<T: Scalar, I: Index>(
     let w = packed.width(p);
     let off = packed.panel_start(p);
     let panel = packed.panel(p);
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2Fma {
-        // SAFETY (both calls): forwarded; AVX2+FMA verified for this level.
-        let handled = dispatch_const_k!(
-            w,
-            unsafe bcsr_tile_avx2::<T, I>(a, block_rows.clone(), panel, off, c, pitch)
-        );
-        if !handled {
-            // SAFETY: forwarded; AVX2+FMA verified for this level.
-            unsafe { bcsr_tile_any_avx2(a, block_rows, panel, w, off, c, pitch) };
-        }
-        return;
-    }
     // SAFETY (both calls): forwarded from this fn's contract.
-    let handled =
-        dispatch_const_k!(w, unsafe bcsr_tile::<T, I>(a, block_rows.clone(), panel, off, c, pitch));
+    let handled = dispatch_const_k!(
+        w,
+        unsafe bcsr_tile::<T, I>(level, a, block_rows.clone(), panel, off, c, pitch)
+    );
     if !handled {
         // SAFETY: forwarded.
-        unsafe { bcsr_tile_any(a, block_rows, panel, w, off, c, pitch) };
+        unsafe { bcsr_tile_any(level, a, block_rows, panel, w, off, c, pitch) };
     }
 }
 

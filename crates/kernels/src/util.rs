@@ -1,6 +1,68 @@
-//! Internal helpers shared by the parallel kernels.
+//! Internal helpers shared by the serial, parallel and tiled kernels.
 
 use std::marker::PhantomData;
+
+/// Compile each kernel body it wraps twice — for the baseline target and
+/// under `#[target_feature(enable = "avx2", enable = "fma")]` — behind one
+/// function that takes a leading [`SimdLevel`] and runs the AVX2+FMA copy
+/// when the level is [`SimdLevel::Avx2Fma`], the portable one otherwise.
+/// The body is `#[inline(always)]`, so LLVM inlines it (and the `axpy`
+/// loops inside it) into the AVX2 copy and vectorizes them 256 bits wide.
+/// [`Scalar::mul_add`] is an unfused `a * b + c` that Rust never
+/// contracts, so both copies compute bit-identical results.
+///
+/// Each wrapped item is an `unsafe fn` over `<T: Scalar, I: Index, const
+/// ..: usize>`. The generated function keeps the body's contract, plus:
+/// `level` must be one the running CPU supports — a value returned by
+/// [`active_level`](crate::simd::active_level), which
+/// [`set_level_override`](crate::simd::set_level_override) clamps to
+/// probed levels.
+///
+/// [`SimdLevel`]: crate::simd::SimdLevel
+/// [`SimdLevel::Avx2Fma`]: crate::simd::SimdLevel::Avx2Fma
+/// [`Scalar::mul_add`]: spmm_core::Scalar::mul_add
+macro_rules! isa_twin {
+    ($(
+        $(#[$attr:meta])*
+        $vis:vis unsafe fn $name:ident<
+            $T:ident: Scalar, $I:ident: Index $(, const $C:ident: usize)*
+        >($($arg:ident: $ty:ty),* $(,)?) $body:block
+    )*) => {$(
+        $(#[$attr])*
+        #[allow(clippy::too_many_arguments)]
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+        $vis unsafe fn $name<$T: spmm_core::Scalar, $I: spmm_core::Index $(, const $C: usize)*>(
+            level: $crate::simd::SimdLevel,
+            $($arg: $ty),*
+        ) {
+            #[inline(always)]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn body<$T: spmm_core::Scalar, $I: spmm_core::Index $(, const $C: usize)*>(
+                $($arg: $ty),*
+            ) $body
+
+            #[cfg(target_arch = "x86_64")]
+            if level == $crate::simd::SimdLevel::Avx2Fma {
+                // Safety: the body's contract, and AVX2 and FMA available.
+                #[target_feature(enable = "avx2", enable = "fma")]
+                #[allow(clippy::too_many_arguments)]
+                unsafe fn avx2<$T: spmm_core::Scalar, $I: spmm_core::Index $(, const $C: usize)*>(
+                    $($arg: $ty),*
+                ) {
+                    // SAFETY: the body's contract is forwarded verbatim.
+                    unsafe { body::<$T, $I $(, $C)*>($($arg),*) }
+                }
+                // SAFETY: the body's contract is forwarded; the caller
+                // passes a level the CPU was probed for, so AVX2 and FMA
+                // are available.
+                return unsafe { avx2::<$T, $I $(, $C)*>($($arg),*) };
+            }
+            // SAFETY: the body's contract is forwarded verbatim.
+            unsafe { body::<$T, $I $(, $C)*>($($arg),*) }
+        }
+    )*};
+}
+pub(crate) use isa_twin;
 
 /// A shareable pointer to a mutable slice for parallel kernels that write
 /// disjoint regions (distinct C rows / block rows / tiles) from multiple

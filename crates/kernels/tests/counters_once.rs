@@ -3,8 +3,9 @@
 //! by the useful flops when the kernel ran, and neither moves when the
 //! entry point returned `false`.
 //!
-//! The counters are process-global, so this file is its own test binary
-//! with a single test.
+//! Each entry point runs once with the portable kernels and once at the
+//! host's widest SIMD level. The counters and the level override are
+//! process-global, so this file is its own test binary with a single test.
 
 use spmm_core::{CooMatrix, DenseMatrix, SparseFormat};
 use spmm_kernels::simd::{self, SimdLevel};
@@ -61,62 +62,66 @@ fn every_entry_point_records_exactly_once() {
     let packed = cfg.pack(&b, K);
     let levels = [SimdLevel::Scalar, simd::hardware_level()];
 
-    for fmt in SparseFormat::ALL {
-        let data = FormatData::from_coo(fmt, &coo, 2).unwrap();
-        let mm = spmm_flops(data.nnz(), K);
-        let mv = spmm_flops(data.nnz(), 1);
-        let mut c = DenseMatrix::zeros(ROWS, K);
-        let mut y = vec![0.0; ROWS];
-        let s = Schedule::Static;
-        let name = |entry: &str| format!("{fmt} {entry}");
+    // Every row once per level: the ISA twins return early from their
+    // level switch, which must neither skip nor double the record.
+    for level in levels {
+        simd::set_level_override(Some(level));
+        for fmt in SparseFormat::ALL {
+            let data = FormatData::from_coo(fmt, &coo, 2).unwrap();
+            let mm = spmm_flops(data.nnz(), K);
+            let mv = spmm_flops(data.nnz(), 1);
+            let mut c = DenseMatrix::zeros(ROWS, K);
+            let mut y = vec![0.0; ROWS];
+            let s = Schedule::Static;
+            let name = |entry: &str| format!("{fmt} {entry} at {}", level.name());
 
-        check(&name("spmm_serial"), "spmm", mm, || {
-            data.spmm_serial(&b, K, &mut c);
-            true
-        });
-        check(&name("spmm_parallel"), "spmm", mm, || {
-            data.spmm_parallel(&pool, 2, s, &b, K, &mut c);
-            true
-        });
-        check(&name("spmm_serial_bt"), "spmm", mm, || {
-            data.spmm_serial_bt(&bt, K, &mut c)
-        });
-        check(&name("spmm_parallel_bt"), "spmm", mm, || {
-            data.spmm_parallel_bt(&pool, 2, s, &bt, K, &mut c)
-        });
-        check(&name("spmm_serial_fixed_k"), "spmm", mm, || {
-            data.spmm_serial_fixed_k(&b, K, &mut c)
-        });
-        check(&name("spmm_parallel_fixed_k"), "spmm", mm, || {
-            data.spmm_parallel_fixed_k(&pool, 2, s, &b, K, &mut c)
-        });
-        check(&name("spmm_serial_tiled"), "spmm", mm, || {
-            data.spmm_serial_tiled(&packed, cfg, &mut c)
-        });
-        check(&name("spmm_parallel_tiled"), "spmm", mm, || {
-            data.spmm_parallel_tiled(&pool, 2, s, &packed, cfg, &mut c)
-        });
-        check(&name("spmm_parallel_balanced"), "spmm", mm, || {
-            data.spmm_parallel_balanced(&pool, 2, &b, K, &mut c)
-        });
-        check(&name("spmm_serial_simd"), "spmm", mm, || {
-            data.spmm_serial_simd(&b, K, &mut c)
-        });
-        for level in levels {
+            check(&name("spmm_serial"), "spmm", mm, || {
+                data.spmm_serial(&b, K, &mut c);
+                true
+            });
+            check(&name("spmm_parallel"), "spmm", mm, || {
+                data.spmm_parallel(&pool, 2, s, &b, K, &mut c);
+                true
+            });
+            check(&name("spmm_serial_bt"), "spmm", mm, || {
+                data.spmm_serial_bt(&bt, K, &mut c)
+            });
+            check(&name("spmm_parallel_bt"), "spmm", mm, || {
+                data.spmm_parallel_bt(&pool, 2, s, &bt, K, &mut c)
+            });
+            check(&name("spmm_serial_fixed_k"), "spmm", mm, || {
+                data.spmm_serial_fixed_k(&b, K, &mut c)
+            });
+            check(&name("spmm_parallel_fixed_k"), "spmm", mm, || {
+                data.spmm_parallel_fixed_k(&pool, 2, s, &b, K, &mut c)
+            });
+            check(&name("spmm_serial_tiled"), "spmm", mm, || {
+                data.spmm_serial_tiled(&packed, cfg, &mut c)
+            });
+            check(&name("spmm_parallel_tiled"), "spmm", mm, || {
+                data.spmm_parallel_tiled(&pool, 2, s, &packed, cfg, &mut c)
+            });
+            check(&name("spmm_parallel_balanced"), "spmm", mm, || {
+                data.spmm_parallel_balanced(&pool, 2, &b, K, &mut c)
+            });
+            check(&name("spmm_serial_simd"), "spmm", mm, || {
+                data.spmm_serial_simd(&b, K, &mut c)
+            });
             check(&name("spmm_serial_simd_at"), "spmm", mm, || {
                 data.spmm_serial_simd_at(level, &b, K, &mut c)
             });
             check(&name("spmv_serial_simd_at"), "spmv", mv, || {
                 data.spmv_serial_simd_at(level, &x, &mut y)
             });
+            check(&name("spmv_serial"), "spmv", mv, || {
+                data.spmv_serial(&x, &mut y)
+            });
+            check(&name("spmv_parallel"), "spmv", mv, || {
+                data.spmv_parallel(&pool, 2, s, &x, &mut y)
+            });
         }
-        check(&name("spmv_serial"), "spmv", mv, || {
-            data.spmv_serial(&x, &mut y)
-        });
-        check(&name("spmv_parallel"), "spmv", mv, || {
-            data.spmv_parallel(&pool, 2, s, &x, &mut y)
-        });
     }
+    simd::set_level_override(None);
 
     // A const-K call at a k with no instantiation refuses and records
     // nothing, like an unsupported format.

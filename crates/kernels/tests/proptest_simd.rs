@@ -168,6 +168,12 @@ fn force_scalar_override_pins_dispatch() {
     let expected = coo.spmm_reference_k(&b, 9);
     let csr = CsrMatrix::<f64>::from_coo(&coo);
 
+    // Auto-detection honours `SPMM_SIMD`, so it picks the hardware level
+    // only without it.
+    let auto = simd::active_level();
+    if std::env::var_os("SPMM_SIMD").is_none() {
+        assert_eq!(auto, simd::hardware_level());
+    }
     simd::set_level_override(Some(SimdLevel::Scalar));
     assert_eq!(simd::active_level(), SimdLevel::Scalar);
     assert_eq!(<f64 as SimdScalar>::lanes(simd::active_level()), 1);
@@ -176,7 +182,7 @@ fn force_scalar_override_pins_dispatch() {
     assert!(max_rel_error(&c, &expected) < TOL);
 
     simd::set_level_override(None);
-    assert_eq!(simd::active_level(), simd::hardware_level());
+    assert_eq!(simd::active_level(), auto);
     simd::csr_spmm(&csr, &b, 9, &mut c);
     assert!(max_rel_error(&c, &expected) < TOL);
 }
