@@ -42,8 +42,8 @@ fn main() {
     };
     spmm_trace::set_trace_level(params.trace_level);
     if params.simd_scalar {
-        // Pin every CPU SpMM kernel (flat, tiled and simd) to its portable
-        // build (same effect as SPMM_SIMD=scalar).
+        // Pin every CPU kernel (flat, transposed-B, const-K, SpMV, tiled
+        // and simd) to its portable build (same effect as SPMM_SIMD=scalar).
         spmm_kernels::simd::set_level_override(Some(spmm_kernels::simd::SimdLevel::Scalar));
     }
 

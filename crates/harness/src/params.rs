@@ -42,7 +42,8 @@ pub struct Params {
     /// Loop schedule for parallel kernels.
     pub schedule: Schedule,
     /// Force the scalar SIMD level (`--simd scalar`), pinning every CPU
-    /// SpMM kernel (flat, tiled and `simd`) to its portable build. The
+    /// kernel (flat, transposed-B, const-K, SpMV, tiled and `simd`) to its
+    /// portable build. The
     /// `SPMM_SIMD=scalar` environment variable has the same effect.
     pub simd_scalar: bool,
     /// Scale factor for generated suite matrices.

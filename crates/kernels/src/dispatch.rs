@@ -14,7 +14,8 @@ use spmm_parallel::{Schedule, ThreadPool};
 
 use crate::simd::{self, SimdLevel, SimdScalar};
 use crate::tiled::{self, TileConfig};
-use crate::{extended, optimized, parallel, serial, spmv, transpose};
+use crate::util::Exec;
+use crate::{extended, optimized, parallel, serial, transpose};
 
 /// Default SELL-C-σ slice height used by [`FormatData::from_coo`].
 pub const SELL_SLICE_HEIGHT: usize = 8;
@@ -246,18 +247,11 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
     /// only built transpose kernels for its four formats).
     pub fn spmm_serial_bt(&self, bt: &DenseMatrix<T>, k: usize, c: &mut DenseMatrix<T>) -> bool {
         let _span = spmm_trace::span!("compute", "serial_bt");
-        match self {
-            FormatData::Coo(m) => transpose::coo_spmm_bt(m, bt, k, c),
-            FormatData::Csr(m) => transpose::csr_spmm_bt(m, bt, k, c),
-            FormatData::Ell(m) => transpose::ell_spmm_bt(m, bt, k, c),
-            FormatData::Bcsr(m) => transpose::bcsr_spmm_bt(m, bt, k, c),
-            FormatData::Bell(_)
-            | FormatData::Csr5(_)
-            | FormatData::Sell(_)
-            | FormatData::Hyb(_) => return false,
+        let ran = transpose::spmm_bt(self, Exec::Serial, bt, k, c);
+        if ran {
+            self.record_spmm_metrics(k);
         }
-        self.record_spmm_metrics(k);
-        true
+        ran
     }
 
     /// Parallel transposed-B SpMM (Study 8).
@@ -271,24 +265,12 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
         c: &mut DenseMatrix<T>,
     ) -> bool {
         let _span = spmm_trace::span!("compute", "parallel_bt");
-        match self {
-            FormatData::Coo(m) => transpose::coo_spmm_bt_parallel(pool, threads, m, bt, k, c),
-            FormatData::Csr(m) => {
-                transpose::csr_spmm_bt_parallel(pool, threads, schedule, m, bt, k, c)
-            }
-            FormatData::Ell(m) => {
-                transpose::ell_spmm_bt_parallel(pool, threads, schedule, m, bt, k, c)
-            }
-            FormatData::Bcsr(m) => {
-                transpose::bcsr_spmm_bt_parallel(pool, threads, schedule, m, bt, k, c)
-            }
-            FormatData::Bell(_)
-            | FormatData::Csr5(_)
-            | FormatData::Sell(_)
-            | FormatData::Hyb(_) => return false,
+        let exec = Exec::Parallel(pool, threads, schedule);
+        let ran = transpose::spmm_bt(self, exec, bt, k, c);
+        if ran {
+            self.record_spmm_metrics(k);
         }
-        self.record_spmm_metrics(k);
-        true
+        ran
     }
 
     /// Serial const-`K` SpMM (Study 9). Returns `false` if this format has
@@ -300,16 +282,7 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
         c: &mut DenseMatrix<T>,
     ) -> bool {
         let _span = spmm_trace::span!("compute", "fixed_k");
-        let ran = match self {
-            FormatData::Coo(m) => optimized::coo_spmm_fixed_k(m, b, k, c),
-            FormatData::Csr(m) => optimized::csr_spmm_fixed_k(m, b, k, c),
-            FormatData::Ell(m) => optimized::ell_spmm_fixed_k(m, b, k, c),
-            FormatData::Bcsr(m) => optimized::bcsr_spmm_fixed_k(m, b, k, c),
-            FormatData::Bell(_)
-            | FormatData::Csr5(_)
-            | FormatData::Sell(_)
-            | FormatData::Hyb(_) => false,
-        };
+        let ran = optimized::spmm_fixed_k(self, Exec::Serial, b, k, c);
         if ran {
             self.record_spmm_metrics(k);
         }
@@ -328,15 +301,9 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
         c: &mut DenseMatrix<T>,
     ) -> bool {
         let _span = spmm_trace::span!("compute", "fixed_k_parallel");
-        let ran = match self {
-            FormatData::Csr(m) => {
-                optimized::csr_spmm_fixed_k_parallel(pool, threads, schedule, m, b, k, c)
-            }
-            FormatData::Ell(m) => {
-                optimized::ell_spmm_fixed_k_parallel(pool, threads, schedule, m, b, k, c)
-            }
-            _ => false,
-        };
+        let exec = Exec::Parallel(pool, threads, schedule);
+        let ran = matches!(self, FormatData::Csr(_) | FormatData::Ell(_))
+            && optimized::spmm_fixed_k(self, exec, b, k, c);
         if ran {
             self.record_spmm_metrics(k);
         }
@@ -392,21 +359,15 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
         true
     }
 
-    /// Serial SpMV (§6.3.4). Returns `false` for BELL/CSR5.
+    /// Serial SpMV (§6.3.4): the `K = 1` instance of the const-`K`
+    /// kernels. Returns `false` for formats other than the paper's four.
     pub fn spmv_serial(&self, x: &[T], y: &mut [T]) -> bool {
         let _span = spmm_trace::span!("compute", "spmv_serial");
-        match self {
-            FormatData::Coo(m) => spmv::coo_spmv(m, x, y),
-            FormatData::Csr(m) => spmv::csr_spmv(m, x, y),
-            FormatData::Ell(m) => spmv::ell_spmv(m, x, y),
-            FormatData::Bcsr(m) => spmv::bcsr_spmv(m, x, y),
-            FormatData::Bell(_)
-            | FormatData::Csr5(_)
-            | FormatData::Sell(_)
-            | FormatData::Hyb(_) => return false,
+        let ran = optimized::spmv(self, Exec::Serial, x, y);
+        if ran {
+            self.record_spmv_metrics();
         }
-        self.record_spmv_metrics();
-        true
+        ran
     }
 
     /// Serial CPU-parallel SpMM with an nnz-balanced static row split
@@ -439,18 +400,11 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
         y: &mut [T],
     ) -> bool {
         let _span = spmm_trace::span!("compute", "spmv_parallel");
-        match self {
-            FormatData::Coo(m) => spmv::coo_spmv_parallel(pool, threads, m, x, y),
-            FormatData::Csr(m) => spmv::csr_spmv_parallel(pool, threads, schedule, m, x, y),
-            FormatData::Ell(m) => spmv::ell_spmv_parallel(pool, threads, schedule, m, x, y),
-            FormatData::Bcsr(m) => spmv::bcsr_spmv_parallel(pool, threads, schedule, m, x, y),
-            FormatData::Bell(_)
-            | FormatData::Csr5(_)
-            | FormatData::Sell(_)
-            | FormatData::Hyb(_) => return false,
+        let ran = optimized::spmv(self, Exec::Parallel(pool, threads, schedule), x, y);
+        if ran {
+            self.record_spmv_metrics();
         }
-        self.record_spmv_metrics();
-        true
+        ran
     }
 
     /// Record a tiled kernel call's tile grid in the metrics registry.

@@ -12,10 +12,9 @@ use spmm_core::{DenseMatrix, HybMatrix, Index, Scalar, SellMatrix};
 use spmm_parallel::{Schedule, ThreadPool};
 
 use crate::check_spmm_shapes;
-use crate::parallel::coo_accumulate;
 use crate::serial::{coo_entries, ell_rows};
 use crate::simd::active_level;
-use crate::util::{axpy, isa_twin, DisjointSlice};
+use crate::util::{axpy, isa_twin, DisjointSlice, Exec};
 
 /// Serial SELL-C-σ SpMM: slice loop, lane-major inner walk.
 pub fn sell_spmm<T: Scalar, I: Index>(
@@ -124,13 +123,15 @@ pub fn hyb_spmm_parallel<T: Scalar, I: Index>(
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
     let level = active_level();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
+    let c = DisjointSlice::new(c.as_mut_slice());
     pool.parallel_for(threads, 0..a.rows(), schedule, |rows| {
         // SAFETY: disjoint row ranges; as in `hyb_spmm` otherwise.
-        unsafe { ell_rows(level, a.ell(), b, k, rows, &c_slice) };
+        unsafe { ell_rows(level, a.ell(), b, k, rows, &c) };
     });
-    // SAFETY: as in `hyb_spmm`.
-    unsafe { coo_accumulate(pool, threads, level, a.tail(), b, k, c) };
+    Exec::Parallel(pool, threads, schedule).coo_ranges(a.tail(), |entries| {
+        // SAFETY: row-aligned entry ranges; as in `hyb_spmm` otherwise.
+        unsafe { coo_entries(level, a.tail(), b, k, entries, &c) };
+    });
 }
 
 #[cfg(test)]

@@ -14,7 +14,16 @@
 //!   optimizations: the k-loop bound baked in at compile time (C++
 //!   templates in the thesis, const generics here) plus hoisted value
 //!   loads;
-//! * **SpMV** ([`spmv`]) — the paper's §6.3.4 future-work extension.
+//! * **SpMV** — the paper's §6.3.4 future-work extension, the `K = 1`
+//!   instance of the const-`K` kernels.
+//!
+//! Each of these families has one range body per format, shared by its
+//! serial entry point (one call over the whole matrix) and its parallel
+//! one (one call per chunk), and compiled both for the portable target and
+//! for AVX2+FMA, picked at run time by [`simd::active_level`]. The
+//! transposed-B kernels are the serial bodies with a different B read; the
+//! tiled engine ([`tiled`]) and the explicit vector kernels ([`simd`])
+//! complete the set.
 //!
 //! Every SpMM kernel shares one contract: `C` (shape `a.rows() × k`) is
 //! fully overwritten, `B` must have at least `k` columns (the suite's `-k`
@@ -36,7 +45,6 @@ pub mod optimized;
 pub mod parallel;
 pub mod serial;
 pub mod simd;
-pub mod spmv;
 pub mod tiled;
 pub mod transpose;
 mod util;
@@ -70,6 +78,13 @@ pub(crate) fn check_spmm_shapes<T: Scalar>(
         c.rows()
     );
     assert_eq!(c.cols(), k, "C has {} cols but k = {k}", c.cols());
+}
+
+/// Validate the SpMV contract: `x` has `a_cols` entries, `y` `a_rows`.
+#[inline]
+pub(crate) fn check_spmv_shapes<T>(a_rows: usize, a_cols: usize, x: &[T], y: &[T]) {
+    assert_eq!(a_cols, x.len(), "A has {a_cols} cols but x has {}", x.len());
+    assert_eq!(a_rows, y.len(), "A has {a_rows} rows but y has {}", y.len());
 }
 
 /// Floating-point operations one SpMM performs: 2 flops (multiply + add)

@@ -1,205 +1,52 @@
-//! Manually optimized kernels (the paper's Study 9).
+//! Manually optimized kernels (the paper's Study 9), and SpMV.
 //!
 //! The thesis applied two manual optimizations to its calculation kernels:
 //! hoisting the value load out of the k loop, and baking the k-loop bound
 //! in at compile time with C++ templates so the compiler emits SIMD and
-//! unrolled code. Here the same trick is Rust const generics: each kernel
-//! takes `const K: usize`, accumulates into a stack array of exactly `K`
-//! elements, and the [`SUPPORTED_K`] dispatchers select the right
-//! instantiation at run time (falling back to the runtime-`k` kernels for
-//! other values, as the C++ suite would fall back to the generic template).
+//! unrolled code. Here the same trick is Rust const generics: each format
+//! has one range body over `const K: usize` that accumulates a row into a
+//! stack array of exactly `K` elements, and `dispatch_const_k!` selects
+//! the [`SUPPORTED_K`] instantiation at run time (other values report no
+//! kernel, as the C++ suite would fall back to the generic template). As
+//! in [`crate::serial`], `isa_twin!` compiles every body for the baseline
+//! target and for AVX2+FMA, and the serial and parallel entry points run
+//! the same body, once or once per chunk.
+//!
+//! SpMV (the paper's §6.3.4 extension) is the `K = 1` instance of these
+//! bodies: x is a `cols × 1` B and y a `rows × 1` C.
 
-use spmm_core::{BcsrMatrix, CooMatrix, CsrMatrix, DenseMatrix, EllMatrix, Index, Scalar};
-use spmm_parallel::{Schedule, ThreadPool};
+use std::ops::Range;
 
-use crate::check_spmm_shapes;
-use crate::util::DisjointSlice;
+use spmm_core::{
+    BcsrMatrix, CooMatrix, CsrMatrix, DenseMatrix, EllMatrix, Index, Scalar, SparseFormat,
+};
+
+use crate::dispatch::FormatData;
+use crate::simd::active_level;
+use crate::util::{isa_twin, DisjointSlice, Exec, ReadB};
+use crate::{check_spmm_shapes, check_spmv_shapes};
 
 /// The k values with dedicated compile-time instantiations: the paper's
 /// Study 4 sweep values (1028 is served by the runtime fallback).
 pub const SUPPORTED_K: [usize; 7] = [8, 16, 32, 64, 128, 256, 512];
-
-/// `acc[..] += v * b_row[..K]` with the bound known at compile time.
-/// Shared with the tiled panel kernels in [`crate::tiled`].
-#[inline(always)]
-pub(crate) fn axpy_const<T: Scalar, const K: usize>(acc: &mut [T; K], v: T, b_row: &[T]) {
-    let b_row = &b_row[..K];
-    for kk in 0..K {
-        acc[kk] = v.mul_add(b_row[kk], acc[kk]);
-    }
-}
-
-/// Serial CSR SpMM with compile-time `K`.
-pub fn csr_spmm_const<T: Scalar, I: Index, const K: usize>(
-    a: &CsrMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    c: &mut DenseMatrix<T>,
-) {
-    check_spmm_shapes(a.rows(), a.cols(), b, K, c);
-    for i in 0..a.rows() {
-        let mut acc = [T::ZERO; K];
-        let (cols, vals) = a.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            axpy_const(&mut acc, v, b.row(j.as_usize()));
-        }
-        c.row_mut(i)[..K].copy_from_slice(&acc);
-    }
-}
-
-/// Serial COO SpMM with compile-time `K`.
-pub fn coo_spmm_const<T: Scalar, I: Index, const K: usize>(
-    a: &CooMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    c: &mut DenseMatrix<T>,
-) {
-    check_spmm_shapes(a.rows(), a.cols(), b, K, c);
-    c.clear();
-    // COO cannot keep a per-row register accumulator (rows interleave in
-    // principle), but the sorted order lets us carry one across runs of
-    // equal rows — the same "load hoisting" spirit applied to C.
-    let mut acc = [T::ZERO; K];
-    let mut current_row = usize::MAX;
-    for (r, j, v) in a.iter() {
-        if r != current_row {
-            if current_row != usize::MAX {
-                let c_row = &mut c.row_mut(current_row)[..K];
-                for (cv, &av) in c_row.iter_mut().zip(&acc) {
-                    *cv += av;
-                }
-            }
-            acc = [T::ZERO; K];
-            current_row = r;
-        }
-        axpy_const(&mut acc, v, b.row(j));
-    }
-    if current_row != usize::MAX {
-        let c_row = &mut c.row_mut(current_row)[..K];
-        for (cv, &av) in c_row.iter_mut().zip(&acc) {
-            *cv += av;
-        }
-    }
-}
-
-/// Serial ELLPACK SpMM with compile-time `K`.
-pub fn ell_spmm_const<T: Scalar, I: Index, const K: usize>(
-    a: &EllMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    c: &mut DenseMatrix<T>,
-) {
-    check_spmm_shapes(a.rows(), a.cols(), b, K, c);
-    for i in 0..a.rows() {
-        let mut acc = [T::ZERO; K];
-        for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-            axpy_const(&mut acc, v, b.row(j.as_usize()));
-        }
-        c.row_mut(i)[..K].copy_from_slice(&acc);
-    }
-}
-
-/// Serial BCSR SpMM with compile-time `K`.
-pub fn bcsr_spmm_const<T: Scalar, I: Index, const K: usize>(
-    a: &BcsrMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    c: &mut DenseMatrix<T>,
-) {
-    check_spmm_shapes(a.rows(), a.cols(), b, K, c);
-    c.clear();
-    let (r, bc_w) = (a.block_r(), a.block_c());
-    let rows = a.rows();
-    let cols = a.cols();
-    for bi in 0..a.block_rows() {
-        let row_lo = bi * r;
-        let row_hi = (row_lo + r).min(rows);
-        for i in row_lo..row_hi {
-            let mut acc = [T::ZERO; K];
-            for (bcol, block) in a.block_row(bi) {
-                let col_lo = bcol * bc_w;
-                let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
-                for (lc, &v) in brow.iter().enumerate() {
-                    let j = col_lo + lc;
-                    if j < cols && v != T::ZERO {
-                        axpy_const(&mut acc, v, b.row(j));
-                    }
-                }
-            }
-            let c_row = &mut c.row_mut(i)[..K];
-            c_row.copy_from_slice(&acc);
-        }
-    }
-}
-
-/// Parallel CSR SpMM with compile-time `K` (row loop).
-pub fn csr_spmm_const_parallel<T: Scalar, I: Index, const K: usize>(
-    pool: &ThreadPool,
-    threads: usize,
-    schedule: Schedule,
-    a: &CsrMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    c: &mut DenseMatrix<T>,
-) {
-    check_spmm_shapes(a.rows(), a.cols(), b, K, c);
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
-    pool.parallel_for(threads, 0..a.rows(), schedule, |rows| {
-        for i in rows {
-            let mut acc = [T::ZERO; K];
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                axpy_const(&mut acc, v, b.row(j.as_usize()));
-            }
-            // SAFETY: disjoint row ranges.
-            let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-            c_row[..K].copy_from_slice(&acc);
-        }
-    });
-}
-
-/// Parallel ELLPACK SpMM with compile-time `K` (row loop).
-pub fn ell_spmm_const_parallel<T: Scalar, I: Index, const K: usize>(
-    pool: &ThreadPool,
-    threads: usize,
-    schedule: Schedule,
-    a: &EllMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    c: &mut DenseMatrix<T>,
-) {
-    check_spmm_shapes(a.rows(), a.cols(), b, K, c);
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
-    pool.parallel_for(threads, 0..a.rows(), schedule, |rows| {
-        for i in rows {
-            let mut acc = [T::ZERO; K];
-            for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-                axpy_const(&mut acc, v, b.row(j.as_usize()));
-            }
-            // SAFETY: disjoint row ranges.
-            let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-            c_row[..K].copy_from_slice(&acc);
-        }
-    });
-}
 
 /// Map a runtime `k` onto the matching const instantiation of a kernel.
 ///
 /// One macro serves every const-`K` dispatcher in this crate (the Study 9
 /// kernels here and the tiled panel kernels in [`crate::tiled`]); the
 /// supported-K list is written exactly once, in the `@go` arm, and a unit
-/// test pins it to [`SUPPORTED_K`]. Three call shapes:
+/// test pins it to [`SUPPORTED_K`]. Two call shapes, both for an `unsafe
+/// fn` (the caller's enclosing SAFETY argument is forwarded):
 ///
-/// * `dispatch_const_k!(k, kernel::<T, I>(args...))` — safe kernel with
-///   generics `<T, I, const K>`;
-/// * `dispatch_const_k!(k, unsafe kernel::<T, I>(args...))` — same, for an
-///   `unsafe fn` (the caller's enclosing SAFETY argument is forwarded);
-/// * `dispatch_const_k!(k, unsafe kernel::<T, I, {MR}>(args...))` — an
-///   `unsafe fn` with generics `<T, I, const MR, const K>` (the tiled
-///   register-blocked micro-kernels).
+/// * `dispatch_const_k!(k, unsafe kernel::<T, I>(args...))` — generics
+///   `<T, I, const K>`;
+/// * `dispatch_const_k!(k, unsafe kernel::<T, I, {MR}>(args...))` —
+///   generics `<T, I, const MR, const K>` (the tiled register-blocked
+///   micro-kernels).
 ///
 /// Evaluates to `true` if `k` had an instantiation (the kernel ran) and
 /// `false` otherwise (nothing touched).
 macro_rules! dispatch_const_k {
-    ($k:expr, $kernel:ident::<$T:ty, $I:ty>($($args:expr),* $(,)?)) => {
-        dispatch_const_k!(@go $k; (safe) $kernel::<$T, $I>($($args),*))
-    };
     ($k:expr, unsafe $kernel:ident::<$T:ty, $I:ty>($($args:expr),* $(,)?)) => {
         dispatch_const_k!(@go $k; (unsafe_plain) $kernel::<$T, $I>($($args),*))
     };
@@ -219,9 +66,6 @@ macro_rules! dispatch_const_k {
             dispatch_const_k!(@munch $k; [$($rest)*]; $($shape)*)
         }
     };
-    (@call $K:literal; (safe) $kernel:ident::<$T:ty, $I:ty>($($args:expr),*)) => {
-        $kernel::<$T, $I, $K>($($args),*)
-    };
     (@call $K:literal; (unsafe_plain) $kernel:ident::<$T:ty, $I:ty>($($args:expr),*)) => {
         // SAFETY: forwarded — the `unsafe` call shape requires the caller
         // to discharge the kernel's safety contract at the dispatch site.
@@ -234,82 +78,197 @@ macro_rules! dispatch_const_k {
 }
 pub(crate) use dispatch_const_k;
 
-/// Run the const-`K` serial CSR kernel if `k` has an instantiation.
-/// Returns `false` (without touching `c`) otherwise.
-pub fn csr_spmm_fixed_k<T: Scalar, I: Index>(
-    a: &CsrMatrix<T, I>,
+/// Const-`K` SpMM of `data` over `exec` if it is one of the paper's four
+/// formats and `k` is in [`SUPPORTED_K`]; returns `false` (C untouched)
+/// otherwise.
+pub(crate) fn spmm_fixed_k<T: Scalar, I: Index>(
+    data: &FormatData<T, I>,
+    exec: Exec<'_>,
     b: &DenseMatrix<T>,
     k: usize,
     c: &mut DenseMatrix<T>,
 ) -> bool {
-    dispatch_const_k!(k, csr_spmm_const::<T, I>(a, b, c))
+    if !SparseFormat::PAPER.contains(&data.format()) {
+        return false;
+    }
+    check_spmm_shapes(data.rows(), data.cols(), b, k, c);
+    let c = c.as_mut_slice();
+    // SAFETY: a paper format, and C holds `rows × k` (shapes checked).
+    dispatch_const_k!(k, unsafe spmm_const::<T, I>(data, exec, b, c))
 }
 
-/// Const-`K` dispatcher for the serial COO kernel.
-pub fn coo_spmm_fixed_k<T: Scalar, I: Index>(
-    a: &CooMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
+/// SpMV `y = A · x` of `data` over `exec`: the `K = 1` instance of the
+/// const-`K` bodies. Returns `false` for formats other than the paper's
+/// four.
+pub(crate) fn spmv<T: Scalar, I: Index>(
+    data: &FormatData<T, I>,
+    exec: Exec<'_>,
+    x: &[T],
+    y: &mut [T],
 ) -> bool {
-    dispatch_const_k!(k, coo_spmm_const::<T, I>(a, b, c))
+    if !SparseFormat::PAPER.contains(&data.format()) {
+        return false;
+    }
+    check_spmv_shapes(data.rows(), data.cols(), x, y);
+    // SAFETY: a paper format, and y holds `rows × 1` (shapes checked).
+    unsafe { spmm_const::<T, I, 1>(data, exec, x, y) };
+    true
 }
 
-/// Const-`K` dispatcher for the serial ELLPACK kernel.
-pub fn ell_spmm_fixed_k<T: Scalar, I: Index>(
-    a: &EllMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) -> bool {
-    dispatch_const_k!(k, ell_spmm_const::<T, I>(a, b, c))
+/// `C = A · B` through the const-`K` body of `data`'s format, run over
+/// `exec` at the [`active_level`]. `c` holds C row-major (`rows × K`).
+///
+/// # Safety
+/// `data` is COO, CSR, ELL or BCSR, and `c.len() == data.rows() * K`.
+unsafe fn spmm_const<T: Scalar, I: Index, const K: usize>(
+    data: &FormatData<T, I>,
+    exec: Exec<'_>,
+    b: impl ReadB<T> + Sync,
+    c: &mut [T],
+) {
+    let level = active_level();
+    if let FormatData::Coo(_) = data {
+        c.fill(T::ZERO);
+    }
+    let c = DisjointSlice::new(c);
+    // SAFETY (every arm): `exec` hands each call a disjoint range
+    // (row-aligned for COO) that owns its C rows; shapes per this fn's
+    // contract; the level comes from `active_level`.
+    match data {
+        FormatData::Coo(m) => exec.coo_ranges(m, |entries| unsafe {
+            coo_entries_const::<T, I, K, _>(level, m, b, entries, &c)
+        }),
+        FormatData::Csr(m) => exec.ranges(m.rows(), |rows| unsafe {
+            csr_rows_const::<T, I, K, _>(level, m, b, rows, &c)
+        }),
+        FormatData::Ell(m) => exec.ranges(m.rows(), |rows| unsafe {
+            ell_rows_const::<T, I, K, _>(level, m, b, rows, &c)
+        }),
+        FormatData::Bcsr(m) => exec.ranges(m.block_rows(), |block_rows| unsafe {
+            bcsr_block_rows_const::<T, I, K, _>(level, m, b, block_rows, &c)
+        }),
+        _ => unreachable!("{} has no const-K kernel", data.format()),
+    }
 }
 
-/// Const-`K` dispatcher for the serial BCSR kernel.
-pub fn bcsr_spmm_fixed_k<T: Scalar, I: Index>(
-    a: &BcsrMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) -> bool {
-    dispatch_const_k!(k, bcsr_spmm_const::<T, I>(a, b, c))
-}
+// ---------------------------------------------------------------------------
+// Range bodies. Each row accumulates in a `[T; K]` register array and is
+// written to C, the `a.rows() × K` buffer `c`, once. B is read through a
+// `ReadB`: B itself, or SpMV's x at `K = 1`.
+//
+// SAFETY contract (all): `c` holds `a.rows() × K` elements, and this call
+// has exclusive access to every C row its range writes.
+// ---------------------------------------------------------------------------
 
-/// Const-`K` dispatcher for the parallel CSR kernel.
-pub fn csr_spmm_fixed_k_parallel<T: Scalar, I: Index>(
-    pool: &ThreadPool,
-    threads: usize,
-    schedule: Schedule,
-    a: &CsrMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) -> bool {
-    dispatch_const_k!(
-        k,
-        csr_spmm_const_parallel::<T, I>(pool, threads, schedule, a, b, c)
-    )
-}
+isa_twin! {
+    /// `C[r] += A[r] · B` over the COO entries in `entries`. Accumulates
+    /// (the caller clears C). A run of entries in one row shares a
+    /// register accumulator, flushed into C when the row changes — the
+    /// load hoisting applied to C.
+    unsafe fn coo_entries_const<T: Scalar, I: Index, const K: usize, B: ReadB<T>>(
+        a: &CooMatrix<T, I>,
+        b: B,
+        entries: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        let (rows, cols, vals) = (a.row_indices(), a.col_indices(), a.values());
+        let flush = |row: usize, acc: &[T; K]| {
+            // SAFETY: exclusive row access per the contract above.
+            let c_row = unsafe { c.slice_mut(row * K, K) };
+            for (cv, &av) in c_row.iter_mut().zip(acc) {
+                *cv += av;
+            }
+        };
+        let mut acc = [T::ZERO; K];
+        let mut current = None;
+        for e in entries {
+            let r = rows[e].as_usize();
+            if current != Some(r) {
+                if let Some(row) = current {
+                    flush(row, &acc);
+                }
+                acc = [T::ZERO; K];
+                current = Some(r);
+            }
+            b.axpy(&mut acc, vals[e], cols[e].as_usize(), K);
+        }
+        if let Some(row) = current {
+            flush(row, &acc);
+        }
+    }
 
-/// Const-`K` dispatcher for the parallel ELLPACK kernel.
-pub fn ell_spmm_fixed_k_parallel<T: Scalar, I: Index>(
-    pool: &ThreadPool,
-    threads: usize,
-    schedule: Schedule,
-    a: &EllMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) -> bool {
-    dispatch_const_k!(
-        k,
-        ell_spmm_const_parallel::<T, I>(pool, threads, schedule, a, b, c)
-    )
+    /// CSR rows `rows` of C, each overwritten.
+    unsafe fn csr_rows_const<T: Scalar, I: Index, const K: usize, B: ReadB<T>>(
+        a: &CsrMatrix<T, I>,
+        b: B,
+        rows: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        for i in rows {
+            let mut acc = [T::ZERO; K];
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                b.axpy(&mut acc, v, j.as_usize(), K);
+            }
+            // SAFETY: exclusive row access per the contract above.
+            unsafe { c.slice_mut(i * K, K) }.copy_from_slice(&acc);
+        }
+    }
+
+    /// ELLPACK rows `rows` of C, each overwritten.
+    unsafe fn ell_rows_const<T: Scalar, I: Index, const K: usize, B: ReadB<T>>(
+        a: &EllMatrix<T, I>,
+        b: B,
+        rows: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        for i in rows {
+            let mut acc = [T::ZERO; K];
+            for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+                b.axpy(&mut acc, v, j.as_usize(), K);
+            }
+            // SAFETY: exclusive row access per the contract above.
+            unsafe { c.slice_mut(i * K, K) }.copy_from_slice(&acc);
+        }
+    }
+
+    /// The C rows of BCSR block rows `block_rows`, each overwritten.
+    unsafe fn bcsr_block_rows_const<T: Scalar, I: Index, const K: usize, B: ReadB<T>>(
+        a: &BcsrMatrix<T, I>,
+        b: B,
+        block_rows: Range<usize>,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        let (r, bc_w) = (a.block_r(), a.block_c());
+        let (rows, cols) = (a.rows(), a.cols());
+        for bi in block_rows {
+            let row_lo = bi * r;
+            for i in row_lo..(row_lo + r).min(rows) {
+                let mut acc = [T::ZERO; K];
+                for (bcol, block) in a.block_row(bi) {
+                    let col_lo = bcol * bc_w;
+                    let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
+                    for (lc, &v) in brow.iter().enumerate() {
+                        let j = col_lo + lc;
+                        // Ragged edge blocks may extend past the matrix;
+                        // their out-of-range slots are zero but must not
+                        // index B.
+                        if j < cols && v != T::ZERO {
+                            b.axpy(&mut acc, v, j, K);
+                        }
+                    }
+                }
+                // SAFETY: exclusive row access per the contract above.
+                unsafe { c.slice_mut(i * K, K) }.copy_from_slice(&acc);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmm_parallel::{Schedule, ThreadPool};
 
     fn fixture() -> (CooMatrix<f64>, DenseMatrix<f64>) {
         let mut trips = Vec::new();
@@ -323,32 +282,32 @@ mod tests {
         (coo, b)
     }
 
+    fn paper_formats(coo: &CooMatrix<f64>, block: usize) -> Vec<FormatData<f64>> {
+        SparseFormat::PAPER
+            .iter()
+            .map(|&f| FormatData::from_coo(f, coo, block).unwrap())
+            .collect()
+    }
+
     #[test]
     fn const_k_kernels_match_reference() {
         let (coo, b) = fixture();
-        let csr = CsrMatrix::from_coo(&coo);
-        let ell = EllMatrix::from_coo(&coo).unwrap();
-        let bcsr = BcsrMatrix::from_coo(&coo, 3).unwrap();
-        for k in [8usize, 16, 32, 64] {
-            let expected = coo.spmm_reference_k(&b, k);
-            let mut c = DenseMatrix::zeros(30, k);
-            assert!(csr_spmm_fixed_k(&csr, &b, k, &mut c), "k={k}");
-            assert_eq!(c, expected, "csr k={k}");
-            assert!(coo_spmm_fixed_k(&coo, &b, k, &mut c));
-            assert_eq!(c, expected, "coo k={k}");
-            assert!(ell_spmm_fixed_k(&ell, &b, k, &mut c));
-            assert_eq!(c, expected, "ell k={k}");
-            assert!(bcsr_spmm_fixed_k(&bcsr, &b, k, &mut c));
-            assert_eq!(c, expected, "bcsr k={k}");
+        for data in paper_formats(&coo, 3) {
+            for k in [8usize, 16, 32, 64] {
+                let expected = coo.spmm_reference_k(&b, k);
+                let mut c = DenseMatrix::from_fn(30, k, |_, _| 7.0);
+                assert!(data.spmm_serial_fixed_k(&b, k, &mut c), "k={k}");
+                assert_eq!(c, expected, "{} k={k}", data.format());
+            }
         }
     }
 
     #[test]
     fn unsupported_k_reports_false_and_leaves_c_alone() {
         let (coo, b) = fixture();
-        let csr = CsrMatrix::from_coo(&coo);
+        let csr = FormatData::Csr(CsrMatrix::from_coo(&coo));
         let mut c = DenseMatrix::from_fn(30, 7, |_, _| 42.0);
-        assert!(!csr_spmm_fixed_k(&csr, &b, 7, &mut c));
+        assert!(!csr.spmm_serial_fixed_k(&b, 7, &mut c));
         assert!(c.as_slice().iter().all(|&v| v == 42.0));
     }
 
@@ -356,30 +315,18 @@ mod tests {
     fn parallel_const_k_matches() {
         let pool = ThreadPool::new(4);
         let (coo, b) = fixture();
-        let csr = CsrMatrix::from_coo(&coo);
-        let ell = EllMatrix::from_coo(&coo).unwrap();
         let expected = coo.spmm_reference_k(&b, 32);
-        let mut c = DenseMatrix::zeros(30, 32);
-        assert!(csr_spmm_fixed_k_parallel(
-            &pool,
-            4,
-            Schedule::Static,
-            &csr,
-            &b,
-            32,
-            &mut c
-        ));
-        assert_eq!(c, expected);
-        assert!(ell_spmm_fixed_k_parallel(
-            &pool,
-            3,
-            Schedule::Dynamic(2),
-            &ell,
-            &b,
-            32,
-            &mut c
-        ));
-        assert_eq!(c, expected);
+        for data in paper_formats(&coo, 3) {
+            let ran = matches!(data, FormatData::Csr(_) | FormatData::Ell(_));
+            for (threads, schedule) in [(4, Schedule::Static), (3, Schedule::Dynamic(2))] {
+                let mut c = DenseMatrix::zeros(30, 32);
+                let got = data.spmm_parallel_fixed_k(&pool, threads, schedule, &b, 32, &mut c);
+                assert_eq!(got, ran, "{}", data.format());
+                if ran {
+                    assert_eq!(c, expected, "{} {schedule:?}", data.format());
+                }
+            }
+        }
     }
 
     #[test]
@@ -392,20 +339,58 @@ mod tests {
         let b = DenseMatrix::from_fn(8, 8, |i, j| (i + j) as f64);
         let expected = coo.spmm_reference(&b);
         let mut c = DenseMatrix::zeros(30, 8);
-        assert!(coo_spmm_fixed_k(&coo, &b, 8, &mut c));
+        assert!(FormatData::Coo(coo).spmm_serial_fixed_k(&b, 8, &mut c));
         assert_eq!(c, expected);
     }
 
     #[test]
     fn supported_k_list_is_dispatchable() {
         let (coo, b16) = fixture();
-        let csr = CsrMatrix::from_coo(&coo);
+        let csr = FormatData::Csr(CsrMatrix::from_coo(&coo));
         // b only has 64 columns; widen for the big K values.
         let b = DenseMatrix::from_fn(20, 512, |i, j| b16.get(i, j % 64));
         for &k in &SUPPORTED_K {
             let mut c = DenseMatrix::zeros(30, k);
-            assert!(csr_spmm_fixed_k(&csr, &b, k, &mut c), "k={k}");
+            assert!(csr.spmm_serial_fixed_k(&b, k, &mut c), "k={k}");
             assert_eq!(c, coo.spmm_reference_k(&b, k), "k={k}");
+        }
+    }
+
+    #[test]
+    fn spmv_matches_reference_serial_and_parallel() {
+        let (coo, _) = fixture();
+        let x: Vec<f64> = (0..20).map(|i| i as f64 * 0.25 - 2.0).collect();
+        let expected = coo.spmv_reference(&x);
+        let pool = ThreadPool::new(4);
+        for data in paper_formats(&coo, 3) {
+            let mut y = vec![9.0; 30];
+            assert!(data.spmv_serial(&x, &mut y));
+            assert_eq!(y, expected, "{} serial", data.format());
+            for (t, schedule) in [
+                (1, Schedule::Static),
+                (2, Schedule::Dynamic(1)),
+                (5, Schedule::Static),
+            ] {
+                let mut y = vec![9.0; 30];
+                assert!(data.spmv_parallel(&pool, t, schedule, &x, &mut y));
+                assert_eq!(y, expected, "{} t={t}", data.format());
+            }
+        }
+    }
+
+    #[test]
+    fn spmv_is_spmm_at_k1() {
+        // The batched-vectors story of §2.3: SpMV is SpMM with k = 1.
+        let (coo, _) = fixture();
+        let x: Vec<f64> = (0..20).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+        let b = DenseMatrix::from_vec(20, 1, x.clone()).unwrap();
+        for data in paper_formats(&coo, 4) {
+            let mut c = DenseMatrix::zeros(30, 1);
+            data.spmm_serial(&b, 1, &mut c);
+            let mut y = vec![0.0; 30];
+            assert!(data.spmv_serial(&x, &mut y));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(c.as_slice()), "{}", data.format());
         }
     }
 }

@@ -16,16 +16,16 @@ use spmm_parallel::{Schedule, ThreadPool};
 
 use crate::check_spmm_shapes;
 use crate::serial::{bcsr_block_rows, bell_strips, coo_entries, csr_rows, ell_rows};
-use crate::simd::{active_level, SimdLevel};
-use crate::util::{axpy, isa_twin, DisjointSlice};
+use crate::simd::active_level;
+use crate::util::{axpy, isa_twin, DisjointSlice, Exec};
 
-/// COO SpMM parallelized over row-aligned entry ranges.
-///
-/// Entries must be sorted row-major (as every `CooMatrix` constructor
-/// guarantees); each thread's range is extended to a row boundary so no two
-/// threads touch the same C row. The schedule is necessarily static — COO
-/// has no cheap way to rebalance mid-run, which is exactly why the paper
-/// finds COO's parallel behaviour diverges from CSR's on skewed matrices.
+/// COO SpMM parallelized over row-aligned entry ranges: each thread's
+/// range is extended to a row boundary so no two threads touch the same C
+/// row. Entries not sorted by row (a matrix filled by `push`) cannot be cut
+/// that way and run on one thread. The schedule is necessarily static —
+/// COO has no cheap way to rebalance mid-run, which is exactly why the
+/// paper finds COO's parallel behaviour diverges from CSR's on skewed
+/// matrices.
 pub fn coo_spmm<T: Scalar, I: Index>(
     pool: &ThreadPool,
     threads: usize,
@@ -36,54 +36,12 @@ pub fn coo_spmm<T: Scalar, I: Index>(
 ) {
     check_spmm_shapes(a.rows(), a.cols(), b, k, c);
     c.clear();
-    // SAFETY: shapes checked, and the level comes from `active_level`.
-    unsafe { coo_accumulate(pool, threads, active_level(), a, b, k, c) };
-}
-
-/// Row-aligned parallel `C += a · B` (no clearing: the HYB tail
-/// accumulates onto its ELL pass).
-///
-/// # Safety
-/// `a`, `b`, `k` and `c` passed `check_spmm_shapes`, and `level` is one
-/// the running CPU supports (see `isa_twin!`).
-pub(crate) unsafe fn coo_accumulate<T: Scalar, I: Index>(
-    pool: &ThreadPool,
-    threads: usize,
-    level: SimdLevel,
-    a: &CooMatrix<T, I>,
-    b: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) {
-    let nnz = a.nnz();
-    if nnz == 0 {
-        return;
-    }
-    debug_assert!(
-        a.is_sorted(),
-        "parallel COO requires row-major sorted entries"
-    );
-    let threads = threads.max(1).min(nnz);
-    let rows_of = a.row_indices();
-
-    // Static entry split, then push each boundary forward to a row start.
-    let mut bounds = Vec::with_capacity(threads + 1);
-    bounds.push(0);
-    for t in 1..threads {
-        let mut at = t * nnz / threads;
-        while at > 0 && at < nnz && rows_of[at] == rows_of[at - 1] {
-            at += 1;
-        }
-        bounds.push(at.min(nnz));
-    }
-    bounds.push(nnz);
-
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
-    let bounds = &bounds;
-    pool.broadcast(threads, |tid| {
-        // SAFETY: row-aligned boundaries give each C row exactly one
-        // thread; shapes and level per this fn's contract.
-        unsafe { coo_entries(level, a, b, k, bounds[tid]..bounds[tid + 1], &c_slice) };
+    let level = active_level();
+    let c = DisjointSlice::new(c.as_mut_slice());
+    Exec::Parallel(pool, threads, Schedule::Static).coo_ranges(a, |entries| {
+        // SAFETY: row-aligned ranges give each C row exactly one writer;
+        // shapes checked; the level comes from `active_level`.
+        unsafe { coo_entries(level, a, b, k, entries, &c) };
     });
 }
 

@@ -9,7 +9,9 @@
 //! `DisjointSlice`. `isa_twin!` compiles every body for the baseline
 //! target and for AVX2+FMA; the entry points here run it once over the
 //! whole matrix at [`active_level`], and [`crate::parallel`] runs it once
-//! per chunk.
+//! per chunk. The COO, CSR, ELL and BCSR bodies are generic in how they
+//! read B, so Study 8's transposed-B kernels ([`crate::transpose`]) are
+//! the same bodies over a pre-transposed B.
 
 use std::ops::Range;
 
@@ -108,19 +110,22 @@ pub fn csr5_spmm<T: Scalar, I: Index>(
 }
 
 // ---------------------------------------------------------------------------
-// Range bodies. `c` is C's `a.rows() × k` buffer (row pitch `k`).
+// Range bodies. `c` is C's `a.rows() × k` buffer (row pitch `k`). The COO,
+// CSR, ELL and BCSR bodies read B through a `ReadB`: B itself here and in
+// `crate::parallel`, a pre-transposed B in `crate::transpose`.
 //
-// SAFETY contract (all): shapes passed `check_spmm_shapes`, and this call
-// has exclusive access to every C row its range writes.
+// SAFETY contract (all): shapes passed `check_spmm_shapes` (or its
+// transposed-B twin), and this call has exclusive access to every C row
+// its range writes.
 // ---------------------------------------------------------------------------
 
 isa_twin! {
     /// `C[r] += v · B[j]` over the COO entries in `entries`. Accumulates (the
     /// caller clears C); a C row is written by every entry of that row, so a
     /// parallel caller must cut `entries` at row boundaries.
-    pub(crate) unsafe fn coo_entries<T: Scalar, I: Index>(
+    pub(crate) unsafe fn coo_entries<T: Scalar, I: Index, B: ReadB<T>>(
         a: &CooMatrix<T, I>,
-        b: &DenseMatrix<T>,
+        b: B,
         k: usize,
         entries: Range<usize>,
         c: &DisjointSlice<'_, T>,
@@ -129,14 +134,14 @@ isa_twin! {
         for e in entries {
             // SAFETY: exclusive row access per the contract above.
             let c_row = unsafe { c.slice_mut(rows[e].as_usize() * k, k) };
-            axpy(c_row, vals[e], b.row(cols[e].as_usize()), k);
+            b.axpy(c_row, vals[e], cols[e].as_usize(), k);
         }
     }
 
     /// CSR rows `rows` of C, each zeroed then accumulated.
-    pub(crate) unsafe fn csr_rows<T: Scalar, I: Index>(
+    pub(crate) unsafe fn csr_rows<T: Scalar, I: Index, B: ReadB<T>>(
         a: &CsrMatrix<T, I>,
-        b: &DenseMatrix<T>,
+        b: B,
         k: usize,
         rows: Range<usize>,
         c: &DisjointSlice<'_, T>,
@@ -147,15 +152,15 @@ isa_twin! {
             c_row.fill(T::ZERO);
             let (cols, vals) = a.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                axpy(c_row, v, b.row(j.as_usize()), k);
+                b.axpy(c_row, v, j.as_usize(), k);
             }
         }
     }
 
     /// ELLPACK rows `rows` of C, each zeroed then accumulated.
-    pub(crate) unsafe fn ell_rows<T: Scalar, I: Index>(
+    pub(crate) unsafe fn ell_rows<T: Scalar, I: Index, B: ReadB<T>>(
         a: &EllMatrix<T, I>,
-        b: &DenseMatrix<T>,
+        b: B,
         k: usize,
         rows: Range<usize>,
         c: &DisjointSlice<'_, T>,
@@ -165,16 +170,16 @@ isa_twin! {
             let c_row = unsafe { c.slice_mut(i * k, k) };
             c_row.fill(T::ZERO);
             for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-                axpy(c_row, v, b.row(j.as_usize()), k);
+                b.axpy(c_row, v, j.as_usize(), k);
             }
         }
     }
 
     /// The C rows of BCSR block rows `block_rows`, zeroed then accumulated
     /// block by block.
-    pub(crate) unsafe fn bcsr_block_rows<T: Scalar, I: Index>(
+    pub(crate) unsafe fn bcsr_block_rows<T: Scalar, I: Index, B: ReadB<T>>(
         a: &BcsrMatrix<T, I>,
-        b: &DenseMatrix<T>,
+        b: B,
         k: usize,
         block_rows: Range<usize>,
         c: &DisjointSlice<'_, T>,
@@ -197,7 +202,7 @@ isa_twin! {
                         // Ragged edge blocks may extend past the matrix; their
                         // out-of-range slots are zero but must not index B.
                         if j < cols && v != T::ZERO {
-                            axpy(c_row, v, b.row(j), k);
+                            b.axpy(c_row, v, j, k);
                         }
                     }
                 }

@@ -42,8 +42,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use spmm_core::{BcsrMatrix, CsrMatrix, DenseMatrix, EllMatrix, Index, Scalar, SellMatrix};
 
-use crate::check_spmm_shapes;
-use crate::spmv::check_spmv_shapes;
+use crate::{check_spmm_shapes, check_spmv_shapes};
 
 /// The SIMD tiers this crate implements, ordered by preference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -722,7 +721,7 @@ mod tests {
         let csr = CsrMatrix::<f64>::from_coo(&coo);
         let x: Vec<f64> = (0..29).map(|i| (i % 7) as f64 * 0.5 - 1.0).collect();
         let mut expected = vec![0.0f64; 37];
-        crate::spmv::csr_spmv(&csr, &x, &mut expected);
+        assert!(crate::FormatData::Csr(csr.clone()).spmv_serial(&x, &mut expected));
         for level in [SimdLevel::Scalar, SimdLevel::Neon, hardware_level()] {
             let mut y = vec![7.0f64; 37];
             csr_spmv_at(level, &csr, &x, &mut y);

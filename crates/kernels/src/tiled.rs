@@ -42,9 +42,18 @@ use std::ops::Range;
 use spmm_core::{BcsrMatrix, CsrMatrix, DenseMatrix, EllMatrix, Index, PackedPanels, Scalar};
 use spmm_parallel::{Schedule, ThreadPool};
 
-use crate::optimized::{axpy_const, dispatch_const_k};
+use crate::optimized::dispatch_const_k;
 use crate::simd::SimdLevel;
 use crate::util::{axpy, isa_twin, DisjointSlice};
+
+/// `acc[..] += v * b_row[..K]` with the bound known at compile time.
+#[inline(always)]
+fn axpy_const<T: Scalar, const K: usize>(acc: &mut [T; K], v: T, b_row: &[T]) {
+    let b_row = &b_row[..K];
+    for kk in 0..K {
+        acc[kk] = v.mul_add(b_row[kk], acc[kk]);
+    }
+}
 
 /// Register-tile heights with dedicated instantiations; `TileConfig`
 /// rounds any requested `row_block` down to one of these.

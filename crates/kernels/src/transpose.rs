@@ -1,19 +1,25 @@
-//! Transposed-B SpMM kernels (the paper's Study 8).
+//! Transposed-B SpMM (the paper's Study 8).
 //!
 //! These kernels read a pre-transposed `B` (`bt`, shape `b.cols × b.rows`),
 //! so gathering `B[j][kk]` becomes `bt[kk][j]` — the element order of a
 //! dense multiply. The paper's hypothesis was that this might help; it
 //! mostly doesn't, because the normal sparse kernels already stream B's
 //! rows linearly while this layout strides across `bt` rows per nonzero.
-//! The kernels exist to measure exactly that.
+//! The kernels exist to measure exactly that, so they are the normal range
+//! bodies of [`crate::serial`] with only the B read swapped for
+//! `Transposed`'s strided gather: same loops, same ISA build.
 //!
 //! Use [`spmm_core::DenseMatrix::transposed`] to produce `bt`; the suite
-//! charges that transpose to the variant's formatting time.
+//! charges that transpose to the variant's formatting time. The kernels
+//! are reached through [`FormatData::spmm_serial_bt`] and
+//! [`FormatData::spmm_parallel_bt`].
 
-use spmm_core::{BcsrMatrix, CooMatrix, CsrMatrix, DenseMatrix, EllMatrix, Index, Scalar};
-use spmm_parallel::{Schedule, ThreadPool};
+use spmm_core::{DenseMatrix, Index, Scalar, SparseFormat};
 
-use crate::util::DisjointSlice;
+use crate::dispatch::FormatData;
+use crate::serial::{bcsr_block_rows, coo_entries, csr_rows, ell_rows};
+use crate::simd::active_level;
+use crate::util::{DisjointSlice, Exec, ReadB};
 
 /// Validate shapes for a transposed-B kernel (`bt` is `B` transposed).
 #[inline]
@@ -40,235 +46,66 @@ fn check_bt_shapes<T: Scalar>(
     assert_eq!(c.cols(), k, "C has {} cols but k = {k}", c.cols());
 }
 
-/// Accumulate one nonzero `(i, j, v)` into `c_row` from transposed B.
-#[inline(always)]
-fn scatter_bt<T: Scalar>(c_row: &mut [T], v: T, bt: &DenseMatrix<T>, j: usize, k: usize) {
-    let c_row = &mut c_row[..k];
-    for (kk, cv) in c_row.iter_mut().enumerate() {
-        // Strided: each kk reads a different bt row at the same column.
-        *cv = v.mul_add(bt.get(kk, j), *cv);
-    }
-}
+/// B read through its transpose `bt`: row `j` of B is column `j` of `bt`.
+#[derive(Clone, Copy)]
+pub(crate) struct Transposed<'a, T>(&'a DenseMatrix<T>);
 
-/// Serial COO SpMM over transposed B.
-pub fn coo_spmm_bt<T: Scalar, I: Index>(
-    a: &CooMatrix<T, I>,
-    bt: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) {
-    check_bt_shapes(a.rows(), a.cols(), bt, k, c);
-    c.clear();
-    for (r, j, v) in a.iter() {
-        scatter_bt(c.row_mut(r), v, bt, j, k);
-    }
-}
-
-/// Serial CSR SpMM over transposed B.
-pub fn csr_spmm_bt<T: Scalar, I: Index>(
-    a: &CsrMatrix<T, I>,
-    bt: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) {
-    check_bt_shapes(a.rows(), a.cols(), bt, k, c);
-    for i in 0..a.rows() {
-        let c_row = c.row_mut(i);
-        c_row[..k].fill(T::ZERO);
-        let (cols, vals) = a.row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            scatter_bt(c_row, v, bt, j.as_usize(), k);
+impl<T: Scalar> ReadB<T> for Transposed<'_, T> {
+    #[inline(always)]
+    fn axpy(self, c_row: &mut [T], v: T, j: usize, k: usize) {
+        for (kk, cv) in c_row[..k].iter_mut().enumerate() {
+            // Strided: each kk reads a different bt row at the same column.
+            *cv = v.mul_add(self.0.get(kk, j), *cv);
         }
     }
 }
 
-/// Serial ELLPACK SpMM over transposed B.
-pub fn ell_spmm_bt<T: Scalar, I: Index>(
-    a: &EllMatrix<T, I>,
+/// Transposed-B SpMM of `data` over `exec` (`bt` is B transposed) if it
+/// is one of the paper's four formats; returns `false` (C untouched)
+/// otherwise, matching the paper, which only built transpose kernels for
+/// its four formats.
+pub(crate) fn spmm_bt<T: Scalar, I: Index>(
+    data: &FormatData<T, I>,
+    exec: Exec<'_>,
     bt: &DenseMatrix<T>,
     k: usize,
     c: &mut DenseMatrix<T>,
-) {
-    check_bt_shapes(a.rows(), a.cols(), bt, k, c);
-    for i in 0..a.rows() {
-        let c_row = c.row_mut(i);
-        c_row[..k].fill(T::ZERO);
-        for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-            scatter_bt(c_row, v, bt, j.as_usize(), k);
-        }
+) -> bool {
+    if !SparseFormat::PAPER.contains(&data.format()) {
+        return false;
     }
-}
-
-/// Serial BCSR SpMM over transposed B.
-pub fn bcsr_spmm_bt<T: Scalar, I: Index>(
-    a: &BcsrMatrix<T, I>,
-    bt: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) {
-    check_bt_shapes(a.rows(), a.cols(), bt, k, c);
-    c.clear();
-    let (r, bc_w) = (a.block_r(), a.block_c());
-    let rows = a.rows();
-    let cols = a.cols();
-    for bi in 0..a.block_rows() {
-        let row_lo = bi * r;
-        let row_hi = (row_lo + r).min(rows);
-        for (bcol, block) in a.block_row(bi) {
-            let col_lo = bcol * bc_w;
-            for i in row_lo..row_hi {
-                let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
-                let c_row = c.row_mut(i);
-                for (lc, &v) in brow.iter().enumerate() {
-                    let j = col_lo + lc;
-                    if j < cols && v != T::ZERO {
-                        scatter_bt(c_row, v, bt, j, k);
-                    }
-                }
-            }
-        }
+    check_bt_shapes(data.rows(), data.cols(), bt, k, c);
+    if let FormatData::Coo(_) = data {
+        c.clear();
     }
-}
-
-/// Parallel COO SpMM over transposed B (row-aligned entry ranges, as in
-/// [`crate::parallel::coo_spmm`]).
-pub fn coo_spmm_bt_parallel<T: Scalar, I: Index>(
-    pool: &ThreadPool,
-    threads: usize,
-    a: &CooMatrix<T, I>,
-    bt: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) {
-    check_bt_shapes(a.rows(), a.cols(), bt, k, c);
-    c.clear();
-    let nnz = a.nnz();
-    if nnz == 0 {
-        return;
+    let (bt, level) = (Transposed(bt), active_level());
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY (every arm): `exec` hands each call a disjoint range
+    // (row-aligned for COO) that owns its C rows; shapes checked; the
+    // level comes from `active_level`.
+    match data {
+        FormatData::Coo(m) => exec.coo_ranges(m, |entries| unsafe {
+            coo_entries(level, m, bt, k, entries, &c)
+        }),
+        FormatData::Csr(m) => exec.ranges(m.rows(), |rows| unsafe {
+            csr_rows(level, m, bt, k, rows, &c)
+        }),
+        FormatData::Ell(m) => exec.ranges(m.rows(), |rows| unsafe {
+            ell_rows(level, m, bt, k, rows, &c)
+        }),
+        FormatData::Bcsr(m) => exec.ranges(m.block_rows(), |block_rows| unsafe {
+            bcsr_block_rows(level, m, bt, k, block_rows, &c)
+        }),
+        _ => unreachable!("{} has no transposed-B kernel", data.format()),
     }
-    let threads = threads.max(1).min(nnz);
-    let rows_of = a.row_indices();
-    let mut bounds = Vec::with_capacity(threads + 1);
-    bounds.push(0);
-    for t in 1..threads {
-        let mut at = t * nnz / threads;
-        while at > 0 && at < nnz && rows_of[at] == rows_of[at - 1] {
-            at += 1;
-        }
-        bounds.push(at.min(nnz));
-    }
-    bounds.push(nnz);
-
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
-    let bounds_ref = &bounds;
-    pool.broadcast(threads, |tid| {
-        for e in bounds_ref[tid]..bounds_ref[tid + 1] {
-            let r = rows_of[e].as_usize();
-            // SAFETY: row-aligned boundaries keep rows thread-exclusive.
-            let c_row = unsafe { c_slice.slice_mut(r * k_cols, k_cols) };
-            scatter_bt(c_row, a.values()[e], bt, a.col_indices()[e].as_usize(), k);
-        }
-    });
-}
-
-/// Parallel CSR SpMM over transposed B (row loop).
-pub fn csr_spmm_bt_parallel<T: Scalar, I: Index>(
-    pool: &ThreadPool,
-    threads: usize,
-    schedule: Schedule,
-    a: &CsrMatrix<T, I>,
-    bt: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) {
-    check_bt_shapes(a.rows(), a.cols(), bt, k, c);
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
-    pool.parallel_for(threads, 0..a.rows(), schedule, |rows| {
-        for i in rows {
-            // SAFETY: disjoint row ranges.
-            let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-            c_row[..k].fill(T::ZERO);
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                scatter_bt(c_row, v, bt, j.as_usize(), k);
-            }
-        }
-    });
-}
-
-/// Parallel ELLPACK SpMM over transposed B (row loop).
-pub fn ell_spmm_bt_parallel<T: Scalar, I: Index>(
-    pool: &ThreadPool,
-    threads: usize,
-    schedule: Schedule,
-    a: &EllMatrix<T, I>,
-    bt: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) {
-    check_bt_shapes(a.rows(), a.cols(), bt, k, c);
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
-    pool.parallel_for(threads, 0..a.rows(), schedule, |rows| {
-        for i in rows {
-            // SAFETY: disjoint row ranges.
-            let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-            c_row[..k].fill(T::ZERO);
-            for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
-                scatter_bt(c_row, v, bt, j.as_usize(), k);
-            }
-        }
-    });
-}
-
-/// Parallel BCSR SpMM over transposed B (block-row loop).
-pub fn bcsr_spmm_bt_parallel<T: Scalar, I: Index>(
-    pool: &ThreadPool,
-    threads: usize,
-    schedule: Schedule,
-    a: &BcsrMatrix<T, I>,
-    bt: &DenseMatrix<T>,
-    k: usize,
-    c: &mut DenseMatrix<T>,
-) {
-    check_bt_shapes(a.rows(), a.cols(), bt, k, c);
-    let (r, bc_w) = (a.block_r(), a.block_c());
-    let rows = a.rows();
-    let cols = a.cols();
-    let k_cols = c.cols();
-    let c_slice = DisjointSlice::new(c.as_mut_slice());
-    pool.parallel_for(threads, 0..a.block_rows(), schedule, |block_rows| {
-        for bi in block_rows {
-            let row_lo = bi * r;
-            let row_hi = (row_lo + r).min(rows);
-            for i in row_lo..row_hi {
-                // SAFETY: block rows partition the rows disjointly.
-                let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-                c_row[..k].fill(T::ZERO);
-            }
-            for (bcol, block) in a.block_row(bi) {
-                let col_lo = bcol * bc_w;
-                for i in row_lo..row_hi {
-                    let brow = &block[(i - row_lo) * bc_w..(i - row_lo + 1) * bc_w];
-                    // SAFETY: as above.
-                    let c_row = unsafe { c_slice.slice_mut(i * k_cols, k_cols) };
-                    for (lc, &v) in brow.iter().enumerate() {
-                        let j = col_lo + lc;
-                        if j < cols && v != T::ZERO {
-                            scatter_bt(c_row, v, bt, j, k);
-                        }
-                    }
-                }
-            }
-        }
-    });
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmm_core::CooMatrix;
+    use spmm_parallel::{Schedule, ThreadPool};
 
     fn fixture() -> (CooMatrix<f64>, DenseMatrix<f64>, DenseMatrix<f64>) {
         let coo = CooMatrix::from_triplets(
@@ -296,20 +133,13 @@ mod tests {
     #[test]
     fn serial_bt_kernels_match_reference() {
         let (coo, b, bt) = fixture();
-        let csr = CsrMatrix::from_coo(&coo);
-        let ell = EllMatrix::from_coo(&coo).unwrap();
-        let bcsr = BcsrMatrix::from_coo(&coo, 3).unwrap();
-        for k in [1, 4, 9] {
-            let expected = coo.spmm_reference_k(&b, k);
-            let mut c = DenseMatrix::zeros(8, k);
-            coo_spmm_bt(&coo, &bt, k, &mut c);
-            assert_eq!(c, expected, "coo k={k}");
-            csr_spmm_bt(&csr, &bt, k, &mut c);
-            assert_eq!(c, expected, "csr k={k}");
-            ell_spmm_bt(&ell, &bt, k, &mut c);
-            assert_eq!(c, expected, "ell k={k}");
-            bcsr_spmm_bt(&bcsr, &bt, k, &mut c);
-            assert_eq!(c, expected, "bcsr k={k}");
+        for format in SparseFormat::PAPER {
+            let data = FormatData::from_coo(format, &coo, 3).unwrap();
+            for k in [1, 4, 9] {
+                let mut c = DenseMatrix::from_fn(8, k, |_, _| 5.0);
+                assert!(data.spmm_serial_bt(&bt, k, &mut c));
+                assert_eq!(c, coo.spmm_reference_k(&b, k), "{format} k={k}");
+            }
         }
     }
 
@@ -317,21 +147,18 @@ mod tests {
     fn parallel_bt_kernels_match_reference() {
         let pool = ThreadPool::new(4);
         let (coo, b, bt) = fixture();
-        let csr = CsrMatrix::from_coo(&coo);
-        let ell = EllMatrix::from_coo(&coo).unwrap();
-        let bcsr = BcsrMatrix::from_coo(&coo, 2).unwrap();
-        for threads in [1, 3, 6] {
-            let k = 5;
-            let expected = coo.spmm_reference_k(&b, k);
-            let mut c = DenseMatrix::zeros(8, k);
-            coo_spmm_bt_parallel(&pool, threads, &coo, &bt, k, &mut c);
-            assert_eq!(c, expected, "coo t={threads}");
-            csr_spmm_bt_parallel(&pool, threads, Schedule::Dynamic(1), &csr, &bt, k, &mut c);
-            assert_eq!(c, expected, "csr t={threads}");
-            ell_spmm_bt_parallel(&pool, threads, Schedule::Static, &ell, &bt, k, &mut c);
-            assert_eq!(c, expected, "ell t={threads}");
-            bcsr_spmm_bt_parallel(&pool, threads, Schedule::Static, &bcsr, &bt, k, &mut c);
-            assert_eq!(c, expected, "bcsr t={threads}");
+        let expected = coo.spmm_reference_k(&b, 5);
+        for format in SparseFormat::PAPER {
+            let data = FormatData::from_coo(format, &coo, 2).unwrap();
+            for (threads, schedule) in [
+                (1, Schedule::Static),
+                (3, Schedule::Dynamic(1)),
+                (6, Schedule::Static),
+            ] {
+                let mut c = DenseMatrix::from_fn(8, 5, |_, _| -1.0);
+                assert!(data.spmm_parallel_bt(&pool, threads, schedule, &bt, 5, &mut c));
+                assert_eq!(c, expected, "{format} t={threads}");
+            }
         }
     }
 
@@ -339,9 +166,9 @@ mod tests {
     #[should_panic(expected = "Bt")]
     fn untransposed_b_is_rejected_when_shapes_differ() {
         let (coo, b, _) = fixture();
-        // b is 6x9; passing it as bt fails the cols check (6 != 9... via
-        // a.cols == bt.cols: a.cols = 6, b.cols = 9).
+        // b is 6x9; passing it as bt fails the cols check (a.cols = 6,
+        // b.cols = 9).
         let mut c = DenseMatrix::zeros(8, 4);
-        coo_spmm_bt(&coo, &b, 4, &mut c);
+        FormatData::Coo(coo).spmm_serial_bt(&b, 4, &mut c);
     }
 }

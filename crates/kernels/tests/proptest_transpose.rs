@@ -1,14 +1,12 @@
 //! Property tests for the transpose variants: the `B^T` kernels (Study 8's
-//! transposed-B layout) and the `A^T` path (`CooMatrix::transpose` feeding
-//! the normal kernels) are checked for CSR/ELL/BCSR against the
-//! `spmm-verify` Kahan oracle under its sequential error model.
+//! transposed-B layout, through `FormatData`) and the `A^T` path
+//! (`CooMatrix::transpose` feeding the normal kernels) are checked for
+//! CSR/ELL/BCSR against the `spmm-verify` Kahan oracle under its
+//! sequential error model.
 
 use proptest::prelude::*;
-use spmm_core::{BcsrMatrix, CooMatrix, CsrMatrix, DenseMatrix, EllMatrix};
-use spmm_kernels::transpose::{
-    bcsr_spmm_bt, bcsr_spmm_bt_parallel, csr_spmm_bt, csr_spmm_bt_parallel, ell_spmm_bt,
-    ell_spmm_bt_parallel,
-};
+use spmm_core::{BcsrMatrix, CooMatrix, CsrMatrix, DenseMatrix, EllMatrix, SparseFormat};
+use spmm_kernels::FormatData;
 use spmm_parallel::{Schedule, ThreadPool};
 use spmm_verify::{compare_spmm, oracle_spmm, ErrorModel};
 
@@ -23,6 +21,9 @@ fn sparse_matrix() -> impl Strategy<Value = CooMatrix<f64>> {
         .prop_map(move |trips| CooMatrix::from_triplets(rows, cols, &trips).expect("in bounds"))
     })
 }
+
+/// The transposed-B formats these properties cover.
+const BT_FORMATS: [SparseFormat; 3] = [SparseFormat::Csr, SparseFormat::Ell, SparseFormat::Bcsr];
 
 fn pool() -> &'static ThreadPool {
     spmm_parallel::global_pool()
@@ -44,32 +45,16 @@ fn check_bt_serial(coo: &CooMatrix<f64>, b: &DenseMatrix<f64>, k: usize, block: 
     // The bt scatter is fused (`mul_add`), so it gets the FMA budget.
     let model = ErrorModel::reassociating(1);
 
-    let csr = CsrMatrix::<f64, usize>::from_coo(coo);
-    let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 42.0);
-    csr_spmm_bt(&csr, &bt, k, &mut c);
-    assert!(
-        compare_spmm(&c, &want, &nnz, &model).is_none(),
-        "csr bt diverged: {:?}",
-        compare_spmm(&c, &want, &nnz, &model)
-    );
-
-    let ell = EllMatrix::<f64, usize>::from_coo(coo).expect("constructs");
-    let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| -7.0);
-    ell_spmm_bt(&ell, &bt, k, &mut c);
-    assert!(
-        compare_spmm(&c, &want, &nnz, &model).is_none(),
-        "ell bt diverged: {:?}",
-        compare_spmm(&c, &want, &nnz, &model)
-    );
-
-    let bcsr = BcsrMatrix::<f64, usize>::from_coo(coo, block).expect("constructs");
-    let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 0.5);
-    bcsr_spmm_bt(&bcsr, &bt, k, &mut c);
-    assert!(
-        compare_spmm(&c, &want, &nnz, &model).is_none(),
-        "bcsr bt diverged: {:?}",
-        compare_spmm(&c, &want, &nnz, &model)
-    );
+    for format in BT_FORMATS {
+        let data = FormatData::<f64>::from_coo(format, coo, block).expect("constructs");
+        let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 42.0);
+        assert!(data.spmm_serial_bt(&bt, k, &mut c));
+        assert!(
+            compare_spmm(&c, &want, &nnz, &model).is_none(),
+            "{format} bt diverged: {:?}",
+            compare_spmm(&c, &want, &nnz, &model)
+        );
+    }
 }
 
 proptest! {
@@ -102,20 +87,15 @@ proptest! {
         // but give the parallel split reassociation headroom anyway.
         let model = ErrorModel::reassociating(threads.max(2));
 
-        let csr = CsrMatrix::<f64, usize>::from_coo(&coo);
-        let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 9.0);
-        csr_spmm_bt_parallel(pool(), threads, schedule, &csr, &bt, k, &mut c);
-        prop_assert!(compare_spmm(&c, &want, &nnz, &model).is_none(), "csr bt parallel diverged");
-
-        let ell = EllMatrix::<f64, usize>::from_coo(&coo).expect("constructs");
-        let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 9.0);
-        ell_spmm_bt_parallel(pool(), threads, schedule, &ell, &bt, k, &mut c);
-        prop_assert!(compare_spmm(&c, &want, &nnz, &model).is_none(), "ell bt parallel diverged");
-
-        let bcsr = BcsrMatrix::<f64, usize>::from_coo(&coo, block).expect("constructs");
-        let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 9.0);
-        bcsr_spmm_bt_parallel(pool(), threads, schedule, &bcsr, &bt, k, &mut c);
-        prop_assert!(compare_spmm(&c, &want, &nnz, &model).is_none(), "bcsr bt parallel diverged");
+        for format in BT_FORMATS {
+            let data = FormatData::<f64>::from_coo(format, &coo, block).expect("constructs");
+            let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 9.0);
+            prop_assert!(data.spmm_parallel_bt(pool(), threads, schedule, &bt, k, &mut c));
+            prop_assert!(
+                compare_spmm(&c, &want, &nnz, &model).is_none(),
+                "{} bt parallel diverged", format
+            );
+        }
     }
 
     /// The A^T path: transposing the sparse operand and multiplying equals

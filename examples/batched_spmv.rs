@@ -13,13 +13,13 @@
 use std::time::Instant;
 
 use spmm_bench::core::{CsrMatrix, DenseMatrix};
-use spmm_bench::kernels::{serial, spmv};
+use spmm_bench::kernels::FormatData;
 use spmm_bench::matgen;
 
 fn main() {
     let spec = matgen::by_name("cant").expect("cant is in the suite");
     let coo = spec.generate(0.05, 7);
-    let csr = CsrMatrix::from_coo(&coo);
+    let csr = FormatData::Csr(CsrMatrix::from_coo(&coo));
     let n = coo.cols();
     println!("matrix: cant replica — {}", coo.properties());
 
@@ -35,14 +35,14 @@ fn main() {
             for (i, xv) in x.iter_mut().enumerate() {
                 *xv = b.get(i, j);
             }
-            spmv::csr_spmv(&csr, &x, y);
+            csr.spmv_serial(&x, y);
         }
         let spmv_t = start.elapsed();
 
         // One SpMM over the stacked batch.
         let start = Instant::now();
         let mut c = DenseMatrix::zeros(coo.rows(), batch);
-        serial::csr_spmm(&csr, &b, batch, &mut c);
+        csr.spmm_serial(&b, batch, &mut c);
         let spmm_t = start.elapsed();
 
         // Same math, same numbers.
