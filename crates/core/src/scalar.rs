@@ -45,8 +45,15 @@ pub trait Scalar:
     fn to_f64(self) -> f64;
     /// Absolute value.
     fn abs(self) -> Self;
-    /// Fused (or contracted) multiply-add `self * a + b`.
+    /// Unfused multiply-add `self * a + b`: the product is rounded before
+    /// the add, and Rust never contracts the two into one FMA, so every
+    /// build computes the same bits.
     fn mul_add(self, a: Self, b: Self) -> Self;
+    /// Fused multiply-add `self * a + b` with a single rounding
+    /// (`f64::mul_add`). One instruction on a target with FMA; without
+    /// one it is a slow libm call, so kernels use it only in code built
+    /// for FMA.
+    fn fused_mul_add(self, a: Self, b: Self) -> Self;
     /// `true` for NaN or infinite values.
     fn is_finite(self) -> bool;
 }
@@ -77,6 +84,11 @@ impl Scalar for f32 {
         // performance one — without target FMA support it lowers to a slow
         // libm call, which would distort every kernel measurement.
         self * a + b
+    }
+
+    #[inline(always)]
+    fn fused_mul_add(self, a: Self, b: Self) -> Self {
+        f32::mul_add(self, a, b)
     }
 
     #[inline(always)]
@@ -111,6 +123,11 @@ impl Scalar for f64 {
     }
 
     #[inline(always)]
+    fn fused_mul_add(self, a: Self, b: Self) -> Self {
+        f64::mul_add(self, a, b)
+    }
+
+    #[inline(always)]
     fn is_finite(self) -> bool {
         f64::is_finite(self)
     }
@@ -141,6 +158,18 @@ mod tests {
         exercise::<f64>();
         assert_eq!(f64::BYTES, 8);
         assert_eq!(f64::NAME, "f64");
+    }
+
+    #[test]
+    fn mul_add_rounds_twice_and_fused_mul_add_once() {
+        fn residual<T: Scalar>(eps: T) -> (T, T) {
+            // (1 + ε)² = 1 + 2ε + ε²: only the single rounding keeps ε².
+            let a = T::ONE + eps;
+            let c = -(T::ONE + eps + eps);
+            (Scalar::mul_add(a, a, c), a.fused_mul_add(a, c))
+        }
+        assert_eq!(residual(f64::EPSILON), (0.0, f64::EPSILON * f64::EPSILON));
+        assert_eq!(residual(f32::EPSILON), (0.0, f32::EPSILON * f32::EPSILON));
     }
 
     #[test]

@@ -80,8 +80,8 @@ pub enum Variant {
     TransposedB,
     /// Const-`K` manually optimized kernel (Study 9).
     FixedK,
-    /// Runtime-dispatched SIMD micro-kernels (Study 12) — serial only;
-    /// the parallel kernels reach the same bodies through the tiled path.
+    /// The normal range bodies with a fused multiply-add above the scalar
+    /// SIMD level, plus CSR/SELL SpMV bodies (Study 12) — serial only.
     Simd,
     /// Cache-blocked tiled engine over packed B panels (Study 11);
     /// CPU-only, CSR/ELL/BCSR.

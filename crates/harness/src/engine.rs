@@ -27,8 +27,7 @@ use spmm_kernels::tiled::TileConfig;
 use spmm_kernels::{FormatData, Workspace};
 use spmm_parallel::global_pool;
 use spmm_perfmodel::{
-    conversion_seconds, estimate_spmm_mflops, select_tile_shape, simd_speedup, MachineProfile,
-    SpmmWorkload,
+    conversion_seconds, estimate_spmm_mflops, select_tile_shape, MachineProfile, SpmmWorkload,
 };
 
 use crate::benchmark::{Backend, Op, Variant};
@@ -170,14 +169,9 @@ impl Planner {
         });
 
         let predicted_mflops = match strategy {
-            ExecStrategy::Cpu { parallel, variant } => {
+            ExecStrategy::Cpu { parallel, .. } => {
                 let threads = if parallel { params.threads } else { 1 };
-                let mflops = estimate_spmm_mflops(&self.machine, &workload, threads);
-                Some(if variant == Variant::Simd {
-                    mflops * simd_speedup(&self.machine, &workload)
-                } else {
-                    mflops
-                })
+                Some(estimate_spmm_mflops(&self.machine, &workload, threads))
             }
             // The model has no GPU or SpMV roofline.
             ExecStrategy::Gpu { .. } | ExecStrategy::Spmv => None,
@@ -502,6 +496,29 @@ mod tests {
         exec.prepare(&coo, &b).unwrap();
         exec.execute(&b, &[]).unwrap();
         assert_eq!(exec.result(), &expected);
+    }
+
+    #[test]
+    fn simd_plans_predict_the_normal_rate() {
+        // The `simd` variant runs the normal range bodies with a fused
+        // multiply-add, so the model has no separate rate for it.
+        let (_, props) = props_and_coo();
+        for format in [SparseFormat::Csr, SparseFormat::Sell] {
+            let predict = |variant| {
+                let params = Params {
+                    format,
+                    variant,
+                    ..Params::default()
+                };
+                Planner::new()
+                    .plan(&props, &params)
+                    .unwrap()
+                    .predicted_mflops
+            };
+            let simd = predict(Variant::Simd);
+            assert!(simd.is_some_and(|m| m > 0.0), "{format}");
+            assert_eq!(simd, predict(Variant::Normal), "{format}");
+        }
     }
 
     #[test]

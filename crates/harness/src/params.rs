@@ -169,7 +169,7 @@ impl ParamsBuilder {
         schedule: Schedule
     );
     setter!(
-        /// Pin SIMD micro-kernels to their scalar bodies.
+        /// Pin every CPU kernel to its portable build.
         simd_scalar: bool
     );
     setter!(
@@ -265,9 +265,7 @@ pub(crate) fn validate(p: &Params) -> Result<(), HarnessError> {
         }
         Variant::Simd => {
             if p.backend != Backend::Serial {
-                return Err(invalid(
-                    "the simd variant is serial-only (use the tiled path)",
-                ));
+                return Err(invalid("the simd variant is serial-only"));
             }
             let ok = match p.op {
                 Op::Spmm => matches!(p.format, F::Csr | F::Ell | F::Bcsr | F::Sell),
@@ -439,7 +437,7 @@ impl Params {
            -b, --block <N>               BCSR/BELL block size (default 4)\n\
            -k <N>                        k-loop bound (default 128)\n\
            --schedule <static|dynamic[,c]|guided[,c]|auto>\n\
-           --simd <auto|scalar>          pin SIMD micro-kernels to scalar\n\
+           --simd <auto|scalar>          pin every CPU kernel to its portable build\n\
            --scale <f>                   suite matrix scale factor (default 0.02)\n\
            --seed <N>                    RNG seed (default 42)\n\
            --trace-out <file.json>       write a chrome://tracing trace\n\

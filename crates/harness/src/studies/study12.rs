@@ -1,22 +1,26 @@
-//! Study 12 (extension): the runtime-dispatched SIMD micro-kernels.
+//! Study 12 (extension): what the ISA buys one kernel body.
 //!
 //! The vectorization study the paper leaves implicit: every CPU number it
-//! reports comes from whatever the compiler auto-vectorized, so the gap
-//! between the portable scalar bodies and explicit ISA kernels is never
-//! measured. This study measures it on the host — the same kernel matrix
-//! run once pinned to [`SimdLevel::Scalar`] and once at the detected
-//! [`spmm_kernels::simd::hardware_level`] — per format (CSR, ELL, BCSR,
-//! SELL-C-σ) and for the two SpMV kernels the SIMD layer adds. SELL is
-//! built *lane-width-aware*: its slice height C is set to the hardware's
-//! FP64 lane count via [`SellMatrix::with_lane_width`], so one slice slot
-//! is exactly one vector register.
+//! reports comes from whatever the compiler auto-vectorized for a baseline
+//! target. This study runs the `simd` variant of each kernel twice on the
+//! host — pinned to [`SimdLevel::Scalar`], the portable build of its body
+//! with unfused multiply-adds, and at the detected
+//! [`spmm_kernels::simd::hardware_level`], the same body built for
+//! AVX2+FMA with fused multiply-adds — per format (CSR, ELL, BCSR,
+//! SELL-C-σ) and for the two `simd` SpMV kernels. No second kernel is
+//! written per ISA: the gap is the compiler's, for one body. SELL is built
+//! *lane-width-aware*: its slice height C is the FP64 lane count of
+//! [`MachineProfile::container_host`] via [`SellMatrix::with_lane_width`],
+//! so one slice slot is one vector register.
 //!
 //! Like Studies 8–11 this probes code generation, which is observable on
 //! any host, so both sides are wall-clock measurements.
 
-use spmm_core::{BcsrMatrix, CsrMatrix, DenseMatrix, EllMatrix, SellMatrix};
+use spmm_core::{CooMatrix, CsrMatrix, DenseMatrix, SellMatrix, SparseFormat};
 use spmm_kernels::dispatch::SELL_SIGMA;
-use spmm_kernels::simd::{self, SimdLevel, SimdScalar};
+use spmm_kernels::simd::{self, SimdLevel};
+use spmm_kernels::FormatData;
+use spmm_perfmodel::MachineProfile;
 
 use super::{MatrixEntry, Series, StudyContext, StudyResult};
 use crate::timer::time_repeated;
@@ -25,10 +29,45 @@ use crate::timer::time_repeated;
 /// where the B panel stops fitting L1).
 pub const SWEEP_KS: [usize; 5] = [32, 64, 128, 256, 512];
 
-/// SELL-C-σ slice height matched to the hardware vector width (minimum 4,
-/// so the scalar fallback level still gets a sensible slice shape).
+/// The study's kernels in series order: label, format, and whether it is
+/// the SpMV kernel.
+const KERNELS: [(&str, SparseFormat, bool); 6] = [
+    ("csr", SparseFormat::Csr, false),
+    ("ell", SparseFormat::Ell, false),
+    ("bcsr", SparseFormat::Bcsr, false),
+    ("sell", SparseFormat::Sell, false),
+    ("csr-spmv", SparseFormat::Csr, true),
+    ("sell-spmv", SparseFormat::Sell, true),
+];
+
+/// SELL-C-σ slice height matched to the modelled host's FP64 vector width.
 pub fn sell_lane_width() -> usize {
-    <f64 as SimdScalar>::lanes(simd::hardware_level()).max(4)
+    MachineProfile::container_host().simd_lanes_f64
+}
+
+/// `coo` in `format`; SELL-C-σ at the [`sell_lane_width`].
+fn formatted(coo: &CooMatrix<f64>, format: SparseFormat, block: usize) -> FormatData<f64> {
+    match format {
+        SparseFormat::Sell => FormatData::Sell(
+            SellMatrix::with_lane_width(&CsrMatrix::from_coo(coo), sell_lane_width(), SELL_SIGMA)
+                .expect("SELL constructs"),
+        ),
+        _ => FormatData::from_coo(format, coo, block).expect("the suite formats"),
+    }
+}
+
+/// A (scalar, simd) pair of empty series per kernel label.
+fn series_pairs<'a>(labels: impl IntoIterator<Item = &'a str>) -> Vec<Series> {
+    let mut series = Vec::new();
+    for name in labels {
+        for lvl in ["scalar", "simd"] {
+            series.push(Series {
+                label: format!("{name}/{lvl}"),
+                values: Vec::new(),
+            });
+        }
+    }
+    series
 }
 
 fn measured(iterations: usize, flops: f64, f: impl FnMut()) -> f64 {
@@ -36,96 +75,56 @@ fn measured(iterations: usize, flops: f64, f: impl FnMut()) -> f64 {
     flops / t.avg.as_secs_f64() / 1e6
 }
 
-/// Measured scalar-vs-SIMD MFLOPS per format and matrix at `ctx.k`.
+/// Largest error of `y` against `want`, relative to `max(|want|, 1)`.
+fn worst_rel(y: &[f64], want: &[f64]) -> f64 {
+    y.iter()
+        .zip(want)
+        .map(|(a, b)| (a - b).abs() / b.abs().max(1.0))
+        .fold(0.0f64, f64::max)
+}
+
+/// Measured portable-vs-host-ISA MFLOPS per kernel and matrix at `ctx.k`.
 /// Series come in (scalar, simd) pairs so [`simd_speedup_summary`] and
 /// Study 9's `improvement_percent` pairing both apply.
 pub fn study12(ctx: &StudyContext, suite: &[MatrixEntry]) -> StudyResult {
     let hw = simd::hardware_level();
     let iterations = 2;
-    let lanes = sell_lane_width();
-
-    let mut series: Vec<Series> = Vec::new();
-    for name in ["csr", "ell", "bcsr", "sell", "csr-spmv", "sell-spmv"] {
-        for lvl in ["scalar", "simd"] {
-            series.push(Series {
-                label: format!("{name}/{lvl}"),
-                values: Vec::new(),
-            });
-        }
-    }
+    let mut series = series_pairs(KERNELS.iter().map(|&(name, _, _)| name));
 
     for entry in suite {
         let b = spmm_matgen::gen::dense_b(entry.coo.cols(), ctx.k, ctx.seed ^ 0xB);
         let reference = entry.coo.spmm_reference_k(&b, ctx.k);
         let useful_mm = spmm_kernels::spmm_flops(entry.coo.nnz(), ctx.k) as f64;
         let useful_mv = 2.0 * entry.coo.nnz() as f64;
-
-        let csr = CsrMatrix::from_coo(&entry.coo);
-        let ell = EllMatrix::from_coo(&entry.coo).expect("ELL constructs");
-        let bcsr =
-            BcsrMatrix::from_coo(&entry.coo, ctx.block).expect("BCSR constructs for the suite");
-        let sell = SellMatrix::with_lane_width(&csr, lanes, SELL_SIGMA).expect("SELL constructs");
-
         let mut c = DenseMatrix::zeros(entry.coo.rows(), ctx.k);
         let x: Vec<f64> = (0..entry.coo.cols()).map(|i| b.get(i, 0)).collect();
         let x_ref = entry.coo.spmv_reference(&x);
         let mut y = vec![0.0f64; entry.coo.rows()];
 
-        for (si, level) in [(0usize, SimdLevel::Scalar), (1, hw)] {
-            series[si].values.push(measured(iterations, useful_mm, || {
-                simd::csr_spmm_at(level, &csr, &b, ctx.k, &mut c)
-            }));
-            assert!(
-                spmm_core::max_rel_error(&c, &reference) < 1e-9,
-                "{} csr {}",
-                entry.name,
-                level.name()
-            );
-
-            series[2 + si]
-                .values
-                .push(measured(iterations, useful_mm, || {
-                    simd::ell_spmm_at(level, &ell, &b, ctx.k, &mut c)
-                }));
-            assert!(spmm_core::max_rel_error(&c, &reference) < 1e-9);
-
-            series[4 + si]
-                .values
-                .push(measured(iterations, useful_mm, || {
-                    simd::bcsr_spmm_at(level, &bcsr, &b, ctx.k, &mut c)
-                }));
-            assert!(spmm_core::max_rel_error(&c, &reference) < 1e-9);
-
-            series[6 + si]
-                .values
-                .push(measured(iterations, useful_mm, || {
-                    simd::sell_spmm_at(level, &sell, &b, ctx.k, &mut c)
-                }));
-            assert!(spmm_core::max_rel_error(&c, &reference) < 1e-9);
-
-            series[8 + si]
-                .values
-                .push(measured(iterations, useful_mv, || {
-                    simd::csr_spmv_at(level, &csr, &x, &mut y)
-                }));
-            let worst = y
-                .iter()
-                .zip(&x_ref)
-                .map(|(a, b)| (a - b).abs() / b.abs().max(1.0))
-                .fold(0.0f64, f64::max);
-            assert!(worst < 1e-9, "{} csr-spmv {}", entry.name, level.name());
-
-            series[10 + si]
-                .values
-                .push(measured(iterations, useful_mv, || {
-                    simd::sell_spmv_at(level, &sell, &x, &mut y)
-                }));
-            let worst = y
-                .iter()
-                .zip(&x_ref)
-                .map(|(a, b)| (a - b).abs() / b.abs().max(1.0))
-                .fold(0.0f64, f64::max);
-            assert!(worst < 1e-9, "{} sell-spmv {}", entry.name, level.name());
+        for (ki, &(name, format, spmv)) in KERNELS.iter().enumerate() {
+            let data = formatted(&entry.coo, format, ctx.block);
+            for (li, level) in [SimdLevel::Scalar, hw].into_iter().enumerate() {
+                let mflops = if spmv {
+                    let mflops = measured(iterations, useful_mv, || {
+                        assert!(data.spmv_serial_simd_at(level, &x, &mut y));
+                    });
+                    let worst = worst_rel(&y, &x_ref);
+                    assert!(worst < 1e-9, "{} {name} {}", entry.name, level.name());
+                    mflops
+                } else {
+                    let mflops = measured(iterations, useful_mm, || {
+                        assert!(data.spmm_serial_simd_at(level, &b, ctx.k, &mut c));
+                    });
+                    assert!(
+                        spmm_core::max_rel_error(&c, &reference) < 1e-9,
+                        "{} {name} {}",
+                        entry.name,
+                        level.name()
+                    );
+                    mflops
+                };
+                series[2 * ki + li].values.push(mflops);
+            }
         }
     }
 
@@ -133,9 +132,9 @@ pub fn study12(ctx: &StudyContext, suite: &[MatrixEntry]) -> StudyResult {
         id: "study12".to_string(),
         figure: "Figure 6.3 (extension)".to_string(),
         title: format!(
-            "Study 12: Scalar vs SIMD micro-kernels ({} host, SELL C={})",
+            "Study 12: portable vs {} build of the same body (SELL C={})",
             hw.name(),
-            lanes
+            sell_lane_width()
         ),
         rows: suite.iter().map(|m| m.name.clone()).collect(),
         series,
@@ -143,25 +142,15 @@ pub fn study12(ctx: &StudyContext, suite: &[MatrixEntry]) -> StudyResult {
     }
 }
 
-/// Measured scalar-vs-SIMD MFLOPS for CSR and lane-width SELL across the
-/// [`SWEEP_KS`] sweep on one matrix — the trajectory view: at which k the
-/// vector units pull away from the scalar pipeline.
+/// Measured portable-vs-host-ISA MFLOPS for CSR and lane-width SELL
+/// across the [`SWEEP_KS`] sweep on one matrix — the trajectory view: at
+/// which k the vector units pull away from the portable build.
 pub fn study12_k_sweep(ctx: &StudyContext, entry: &MatrixEntry) -> StudyResult {
     let hw = simd::hardware_level();
     let iterations = 2;
-    let lanes = sell_lane_width();
-    let csr = CsrMatrix::from_coo(&entry.coo);
-    let sell = SellMatrix::with_lane_width(&csr, lanes, SELL_SIGMA).expect("SELL constructs");
-
-    let mut series: Vec<Series> = Vec::new();
-    for name in ["csr", "sell"] {
-        for lvl in ["scalar", "simd"] {
-            series.push(Series {
-                label: format!("{name}/{lvl}"),
-                values: Vec::new(),
-            });
-        }
-    }
+    let kernels = [SparseFormat::Csr, SparseFormat::Sell]
+        .map(|format| formatted(&entry.coo, format, ctx.block));
+    let mut series = series_pairs(["csr", "sell"]);
 
     for &k in &SWEEP_KS {
         let b = spmm_matgen::gen::dense_b(entry.coo.cols(), k, ctx.seed ^ 0xB);
@@ -169,31 +158,30 @@ pub fn study12_k_sweep(ctx: &StudyContext, entry: &MatrixEntry) -> StudyResult {
         let useful = spmm_kernels::spmm_flops(entry.coo.nnz(), k) as f64;
         let mut c = DenseMatrix::zeros(entry.coo.rows(), k);
 
-        for (si, level) in [(0usize, SimdLevel::Scalar), (1, hw)] {
-            series[si].values.push(measured(iterations, useful, || {
-                simd::csr_spmm_at(level, &csr, &b, k, &mut c)
-            }));
-            assert!(spmm_core::max_rel_error(&c, &reference) < 1e-9);
-
-            series[2 + si].values.push(measured(iterations, useful, || {
-                simd::sell_spmm_at(level, &sell, &b, k, &mut c)
-            }));
-            assert!(spmm_core::max_rel_error(&c, &reference) < 1e-9);
+        for (ki, data) in kernels.iter().enumerate() {
+            for (li, level) in [SimdLevel::Scalar, hw].into_iter().enumerate() {
+                series[2 * ki + li]
+                    .values
+                    .push(measured(iterations, useful, || {
+                        assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
+                    }));
+                assert!(spmm_core::max_rel_error(&c, &reference) < 1e-9);
+            }
         }
     }
 
     StudyResult {
         id: format!("study12-ksweep-{}", entry.name),
         figure: "Figure 6.4 (extension)".to_string(),
-        title: format!("Study 12: SIMD speedup vs k ({})", entry.name),
+        title: format!("Study 12: {} speedup vs k ({})", hw.name(), entry.name),
         rows: SWEEP_KS.iter().map(|k| format!("k={k}")).collect(),
         series,
         unit: "MFLOPS".to_string(),
     }
 }
 
-/// Mean simd-over-scalar speedup per kernel (1.0 = parity), walking the
-/// study's (scalar, simd) series pairs.
+/// Mean host-ISA-over-portable speedup per kernel (1.0 = parity), walking
+/// the study's (scalar, simd) series pairs.
 pub fn simd_speedup_summary(result: &StudyResult) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut i = 0;

@@ -12,7 +12,7 @@ use spmm_core::{
 };
 use spmm_parallel::{Schedule, ThreadPool};
 
-use crate::simd::{self, SimdLevel, SimdScalar};
+use crate::simd::{self, SimdLevel};
 use crate::tiled::{self, TileConfig};
 use crate::util::Exec;
 use crate::{extended, optimized, parallel, serial, transpose};
@@ -416,20 +416,19 @@ impl<T: Scalar, I: Index> FormatData<T, I> {
             * k.div_ceil(cfg.panel_w.max(1)) as u64;
         spmm_trace::counter("tiled.tiles_dispatched").add(tiles);
     }
-}
 
-/// SIMD entry points need the richer [`SimdScalar`] bound (a per-type
-/// kernel table), so they live in their own impl block.
-impl<T: SimdScalar, I: Index> FormatData<T, I> {
-    /// Serial SpMM through the runtime-dispatched SIMD micro-kernels at
-    /// the process-wide [`simd::active_level`]. Returns `false` for
-    /// formats without a SIMD kernel (COO, BELL, CSR5, HYB).
+    /// Serial SpMM of the `simd` variant at the process-wide
+    /// [`simd::active_level`]: see [`FormatData::spmm_serial_simd_at`].
     pub fn spmm_serial_simd(&self, b: &DenseMatrix<T>, k: usize, c: &mut DenseMatrix<T>) -> bool {
         self.spmm_serial_simd_at(simd::active_level(), b, k, c)
     }
 
-    /// Serial SIMD SpMM at an explicit [`SimdLevel`] (A/B studies pin the
-    /// scalar baseline this way).
+    /// Serial SpMM of the `simd` variant at an explicit [`SimdLevel`] (A/B
+    /// studies pin the portable build this way): the normal range body,
+    /// with every multiply-add fused at any level but
+    /// [`SimdLevel::Scalar`], where it equals [`FormatData::spmm_serial`]
+    /// bit for bit. A level this CPU lacks runs as `Scalar`. Returns
+    /// `false` for formats without a `simd` kernel (COO, BELL, CSR5, HYB).
     pub fn spmm_serial_simd_at(
         &self,
         level: SimdLevel,
@@ -438,33 +437,26 @@ impl<T: SimdScalar, I: Index> FormatData<T, I> {
         c: &mut DenseMatrix<T>,
     ) -> bool {
         let _span = spmm_trace::span!("compute", "simd");
-        match self {
-            FormatData::Csr(m) => simd::csr_spmm_at(level, m, b, k, c),
-            FormatData::Ell(m) => simd::ell_spmm_at(level, m, b, k, c),
-            FormatData::Bcsr(m) => simd::bcsr_spmm_at(level, m, b, k, c),
-            FormatData::Sell(m) => simd::sell_spmm_at(level, m, b, k, c),
-            FormatData::Coo(_) | FormatData::Bell(_) | FormatData::Csr5(_) | FormatData::Hyb(_) => {
-                return false
-            }
+        let ran = optimized::spmm_simd(self, level, b, k, c);
+        if ran {
+            self.record_spmm_metrics(k);
         }
-        self.record_spmm_metrics(k);
-        true
+        ran
     }
 
-    /// Serial SIMD SpMV at an explicit [`SimdLevel`]. CSR uses gathered
-    /// dot products; SELL-C-σ vectorizes across slice lanes (the layout's
-    /// native axis). Other formats return `false` — note this is a wider
-    /// set than [`FormatData::spmv_serial`], which intentionally keeps
-    /// SELL unsupported to match the paper's scalar kernel matrix.
+    /// Serial SpMV of the `simd` variant at an explicit [`SimdLevel`]: CSR
+    /// sums each row's gathered products over four partial sums; SELL-C-σ
+    /// accumulates a slice's lanes side by side (the layout's native
+    /// axis). Fused at any level but [`SimdLevel::Scalar`]. Other formats
+    /// return `false` — a wider set than [`FormatData::spmv_serial`],
+    /// which keeps SELL unsupported to match the paper's kernel matrix.
     pub fn spmv_serial_simd_at(&self, level: SimdLevel, x: &[T], y: &mut [T]) -> bool {
         let _span = spmm_trace::span!("compute", "spmv_simd");
-        match self {
-            FormatData::Csr(m) => simd::csr_spmv_at(level, m, x, y),
-            FormatData::Sell(m) => simd::sell_spmv_at(level, m, x, y),
-            _ => return false,
+        let ran = optimized::spmv_simd(self, level, x, y);
+        if ran {
+            self.record_spmv_metrics();
         }
-        self.record_spmv_metrics();
-        true
+        ran
     }
 }
 
@@ -627,6 +619,26 @@ mod tests {
             assert_eq!(data.spmm_serial_simd(&b, 8, &mut c), supported, "{fmt}");
             if supported {
                 assert!(c.max_abs_diff(&expected) < 1e-12, "{fmt} simd active");
+            }
+        }
+    }
+
+    #[test]
+    fn simd_levels_the_cpu_lacks_run_the_portable_build() {
+        let (coo, _) = fixture();
+        let b = DenseMatrix::from_fn(25, 8, |i, j| 0.1 * (i + 3 * j) as f64 - 0.7);
+        let x: Vec<f64> = (0..25).map(|i| 0.3 * i as f64 - 1.1).collect();
+        let data = FormatData::from_coo(SparseFormat::Sell, &coo, 4).unwrap();
+        let run = |level| {
+            let mut c = DenseMatrix::zeros(40, 8);
+            let mut y = vec![0.0; 40];
+            assert!(data.spmm_serial_simd_at(level, &b, 8, &mut c));
+            assert!(data.spmv_serial_simd_at(level, &x, &mut y));
+            (c, y)
+        };
+        for level in [SimdLevel::Neon, SimdLevel::Avx2Fma] {
+            if level != simd::hardware_level() {
+                assert_eq!(run(level), run(SimdLevel::Scalar), "{}", level.name());
             }
         }
     }

@@ -14,7 +14,7 @@ use spmm_parallel::{Schedule, ThreadPool};
 use crate::check_spmm_shapes;
 use crate::serial::{coo_entries, ell_rows};
 use crate::simd::active_level;
-use crate::util::{axpy, isa_twin, DisjointSlice, Exec};
+use crate::util::{isa_twin, DisjointSlice, Exec};
 
 /// Serial SELL-C-σ SpMM: slice loop, lane-major inner walk.
 pub fn sell_spmm<T: Scalar, I: Index>(
@@ -58,9 +58,9 @@ isa_twin! {
     /// # Safety
     /// Shapes passed `check_spmm_shapes`, and no other live call covers any
     /// of `slices`.
-    unsafe fn sell_slices<T: Scalar, I: Index>(
+    pub(crate) unsafe fn sell_slices<T: Scalar, I: Index, B: ReadB<T>>(
         a: &SellMatrix<T, I>,
-        b: &DenseMatrix<T>,
+        b: B,
         k: usize,
         slices: Range<usize>,
         c: &DisjointSlice<'_, T>,
@@ -82,7 +82,7 @@ isa_twin! {
                     let at = base + slot * height + lane;
                     let v = a.values()[at];
                     if v != T::ZERO {
-                        axpy(c_row, v, b.row(a.col_idx()[at].as_usize()), k);
+                        b.axpy(c_row, v, a.col_idx()[at].as_usize(), k);
                     }
                 }
             }

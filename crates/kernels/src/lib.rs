@@ -15,15 +15,17 @@
 //!   templates in the thesis, const generics here) plus hoisted value
 //!   loads;
 //! * **SpMV** — the paper's §6.3.4 future-work extension, the `K = 1`
-//!   instance of the const-`K` kernels.
+//!   instance of the const-`K` kernels;
+//! * the **`simd`** variant (Study 12) — the serial CSR, ELL, BCSR and
+//!   SELL-C-σ bodies with a fused multiply-add, plus CSR and SELL-C-σ
+//!   SpMV bodies that reassociate each row sum ([`optimized`]).
 //!
 //! Each of these families has one range body per format, shared by its
 //! serial entry point (one call over the whole matrix) and its parallel
 //! one (one call per chunk), and compiled both for the portable target and
 //! for AVX2+FMA, picked at run time by [`simd::active_level`]. The
-//! transposed-B kernels are the serial bodies with a different B read; the
-//! tiled engine ([`tiled`]) and the explicit vector kernels ([`simd`])
-//! complete the set.
+//! transposed-B and `simd` kernels are the serial bodies with a different
+//! B read; the tiled engine ([`tiled`]) completes the set.
 //!
 //! Every SpMM kernel shares one contract: `C` (shape `a.rows() × k`) is
 //! fully overwritten, `B` must have at least `k` columns (the suite's `-k`

@@ -14,16 +14,26 @@
 //!
 //! SpMV (the paper's §6.3.4 extension) is the `K = 1` instance of these
 //! bodies: x is a `cols × 1` B and y a `rows × 1` C.
+//!
+//! The `simd` variant (Study 12) is the last manual optimization: a fused
+//! multiply-add. Its SpMM ([`FormatData::spmm_serial_simd_at`]) runs the
+//! normal range bodies of CSR, ELL, BCSR and SELL-C-σ with a fused B
+//! read, and its SpMV ([`FormatData::spmv_serial_simd_at`]) two bodies
+//! that also reassociate each row sum: CSR's gathered dot over four
+//! partial sums and SELL-C-σ's lane-inner slice walk.
 
 use std::ops::Range;
 
 use spmm_core::{
-    BcsrMatrix, CooMatrix, CsrMatrix, DenseMatrix, EllMatrix, Index, Scalar, SparseFormat,
+    BcsrMatrix, CooMatrix, CsrMatrix, DenseMatrix, EllMatrix, Index, Scalar, SellMatrix,
+    SparseFormat,
 };
 
 use crate::dispatch::FormatData;
-use crate::simd::active_level;
-use crate::util::{isa_twin, DisjointSlice, Exec, ReadB};
+use crate::extended::sell_slices;
+use crate::serial::{bcsr_block_rows, csr_rows, ell_rows};
+use crate::simd::{self, active_level, SimdLevel};
+use crate::util::{isa_twin, DisjointSlice, Exec, Fused, ReadB};
 use crate::{check_spmm_shapes, check_spmv_shapes};
 
 /// The k values with dedicated compile-time instantiations: the paper's
@@ -112,6 +122,100 @@ pub(crate) fn spmv<T: Scalar, I: Index>(
     check_spmv_shapes(data.rows(), data.cols(), x, y);
     // SAFETY: a paper format, and y holds `rows × 1` (shapes checked).
     unsafe { spmm_const::<T, I, 1>(data, exec, x, y) };
+    true
+}
+
+/// The `simd` variant's SpMM: the normal serial range body of CSR, ELL,
+/// BCSR or SELL-C-σ at `level`, reading B with a fused multiply-add at
+/// every level but [`SimdLevel::Scalar`], where it is the normal serial
+/// kernel bit for bit. A level the CPU lacks runs as `Scalar`. Returns
+/// `false` (C untouched) for the other formats.
+pub(crate) fn spmm_simd<T: Scalar, I: Index>(
+    data: &FormatData<T, I>,
+    level: SimdLevel,
+    b: &DenseMatrix<T>,
+    k: usize,
+    c: &mut DenseMatrix<T>,
+) -> bool {
+    /// # Safety
+    /// As for the range bodies, over the whole matrix.
+    unsafe fn run<T: Scalar, I: Index>(
+        data: &FormatData<T, I>,
+        level: SimdLevel,
+        b: impl ReadB<T>,
+        k: usize,
+        c: &DisjointSlice<'_, T>,
+    ) {
+        // SAFETY (every arm): forwarded from this fn's contract.
+        match data {
+            FormatData::Csr(m) => unsafe { csr_rows(level, m, b, k, 0..m.rows(), c) },
+            FormatData::Ell(m) => unsafe { ell_rows(level, m, b, k, 0..m.rows(), c) },
+            FormatData::Bcsr(m) => unsafe { bcsr_block_rows(level, m, b, k, 0..m.block_rows(), c) },
+            FormatData::Sell(m) => unsafe { sell_slices(level, m, b, k, 0..m.nslices(), c) },
+            _ => unreachable!("{} has no simd kernel", data.format()),
+        }
+    }
+    let supported = matches!(
+        data,
+        FormatData::Csr(_) | FormatData::Ell(_) | FormatData::Bcsr(_) | FormatData::Sell(_)
+    );
+    if !supported {
+        return false;
+    }
+    check_spmm_shapes(data.rows(), data.cols(), b, k, c);
+    let level = simd::supported(level);
+    let c = DisjointSlice::new(c.as_mut_slice());
+    // SAFETY: the only writer of C, shapes checked, and a level this CPU
+    // supports.
+    unsafe {
+        if level == SimdLevel::Scalar {
+            run(data, level, b, k, &c);
+        } else {
+            run(data, level, Fused(b), k, &c);
+        }
+    }
+    true
+}
+
+/// The `simd` variant's SpMV `y = A · x`: CSR's gathered dot or
+/// SELL-C-σ's lane-inner slice walk at `level`, fused at every level but
+/// [`SimdLevel::Scalar`]. Both reassociate each row sum, so unlike
+/// [`spmv`] they are not SpMM at `k = 1`. A level the CPU lacks runs as
+/// `Scalar`. Returns `false` for the other formats.
+pub(crate) fn spmv_simd<T: Scalar, I: Index>(
+    data: &FormatData<T, I>,
+    level: SimdLevel,
+    x: &[T],
+    y: &mut [T],
+) -> bool {
+    /// # Safety
+    /// As for the SpMV bodies.
+    unsafe fn run<T: Scalar, I: Index>(
+        data: &FormatData<T, I>,
+        level: SimdLevel,
+        x: impl ReadB<T>,
+        y: &mut [T],
+    ) {
+        // SAFETY (every arm): forwarded from this fn's contract.
+        match data {
+            FormatData::Csr(m) => unsafe { csr_spmv_dot(level, m, x, y) },
+            FormatData::Sell(m) => unsafe { sell_spmv_lanes(level, m, x, y) },
+            _ => unreachable!("{} has no simd SpMV kernel", data.format()),
+        }
+    }
+    if !matches!(data, FormatData::Csr(_) | FormatData::Sell(_)) {
+        return false;
+    }
+    check_spmv_shapes(data.rows(), data.cols(), x, y);
+    let level = simd::supported(level);
+    // SAFETY: shapes checked, and a level this CPU supports.
+    unsafe {
+        if level == SimdLevel::Scalar {
+            run(data, level, x, y);
+        } else {
+            run(data, level, Fused(x), y);
+        }
+    }
     true
 }
 
@@ -260,6 +364,95 @@ isa_twin! {
                 }
                 // SAFETY: exclusive row access per the contract above.
                 unsafe { c.slice_mut(i * K, K) }.copy_from_slice(&acc);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The `simd` variant's SpMV bodies, serial only. x is read through a
+// `ReadB` (a slice, or a fused one) as a `cols × 1` B.
+//
+// SAFETY contract (both): `x` holds `a.cols()` elements and `y`
+// `a.rows()`.
+// ---------------------------------------------------------------------------
+
+isa_twin! {
+    /// CSR SpMV, each row a gathered dot product over four partial sums:
+    /// entry `4m + l` goes to sum `l`, the sums add as `(s0 + s2) + (s1 +
+    /// s3)`, and the last `nnz mod 4` entries follow in order. The four
+    /// independent add chains overlap where the `K = 1` body waits on one.
+    unsafe fn csr_spmv_dot<T: Scalar, I: Index, B: ReadB<T>>(
+        a: &CsrMatrix<T, I>,
+        x: B,
+        y: &mut [T],
+    ) {
+        let madd = |acc: &mut T, v: T, j: I| x.axpy(std::slice::from_mut(acc), v, j.as_usize(), 1);
+        for (i, yi) in y.iter_mut().enumerate() {
+            let (cols, vals) = a.row(i);
+            let (cols4, vals4) = (cols.chunks_exact(4), vals.chunks_exact(4));
+            let tail = cols4.remainder().iter().zip(vals4.remainder());
+            let mut acc = [T::ZERO; 4];
+            for (c4, v4) in cols4.zip(vals4) {
+                for l in 0..4 {
+                    madd(&mut acc[l], v4[l], c4[l]);
+                }
+            }
+            let mut sum = (acc[0] + acc[2]) + (acc[1] + acc[3]);
+            for (&j, &v) in tail {
+                madd(&mut sum, v, j);
+            }
+            *yi = sum;
+        }
+    }
+
+    /// SELL-C-σ SpMV, lane-inner: a group of a slice's lanes accumulates
+    /// side by side in a stack array while the walk runs over its
+    /// slot-major values, so each slot is a few contiguous values and as
+    /// many independent sums (Kreutzer et al.). Lanes go in groups of four,
+    /// whose sums stay in registers, and the last `C mod 4` one by one.
+    /// Ghost lanes and in-row padding hold zero values with a valid column,
+    /// so they need no test; ghost lanes are dropped on write.
+    unsafe fn sell_spmv_lanes<T: Scalar, I: Index, B: ReadB<T>>(
+        a: &SellMatrix<T, I>,
+        x: B,
+        y: &mut [T],
+    ) {
+        /// The sums of lanes `lo..lo + G` of a slice of `height` lanes.
+        #[inline(always)]
+        fn group<T: Scalar, I: Index, B: ReadB<T>, const G: usize>(
+            x: B,
+            (cols, vals): (&[I], &[T]),
+            height: usize,
+            lo: usize,
+        ) -> [T; G] {
+            let mut acc = [T::ZERO; G];
+            for (cs, vs) in cols.chunks_exact(height).zip(vals.chunks_exact(height)) {
+                let (cs, vs) = (&cs[lo..lo + G], &vs[lo..lo + G]);
+                for l in 0..G {
+                    x.axpy(std::slice::from_mut(&mut acc[l]), vs[l], cs[l].as_usize(), 1);
+                }
+            }
+            acc
+        }
+
+        let (height, rows) = (a.slice_height(), a.rows());
+        let full = height - height % 4;
+        for s in 0..a.nslices() {
+            let slice = (a.slice_cols(s), a.slice_vals(s));
+            let mut write = |lo: usize, sums: &[T]| {
+                for (l, &sum) in sums.iter().enumerate() {
+                    let p = s * height + lo + l;
+                    if p < rows {
+                        y[a.row_at(p)] = sum;
+                    }
+                }
+            };
+            for lo in (0..full).step_by(4) {
+                write(lo, &group::<T, I, B, 4>(x, slice, height, lo));
+            }
+            for lo in full..height {
+                write(lo, &group::<T, I, B, 1>(x, slice, height, lo));
             }
         }
     }

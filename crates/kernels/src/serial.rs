@@ -11,7 +11,11 @@
 //! whole matrix at [`active_level`], and [`crate::parallel`] runs it once
 //! per chunk. The COO, CSR, ELL and BCSR bodies are generic in how they
 //! read B, so Study 8's transposed-B kernels ([`crate::transpose`]) are
-//! the same bodies over a pre-transposed B.
+//! the same bodies over a pre-transposed B, and the `simd` variant
+//! ([`FormatData::spmm_serial_simd`]) the same bodies with a fused B
+//! read.
+//!
+//! [`FormatData::spmm_serial_simd`]: crate::FormatData::spmm_serial_simd
 
 use std::ops::Range;
 
@@ -112,7 +116,8 @@ pub fn csr5_spmm<T: Scalar, I: Index>(
 // ---------------------------------------------------------------------------
 // Range bodies. `c` is C's `a.rows() × k` buffer (row pitch `k`). The COO,
 // CSR, ELL and BCSR bodies read B through a `ReadB`: B itself here and in
-// `crate::parallel`, a pre-transposed B in `crate::transpose`.
+// `crate::parallel`, a pre-transposed B in `crate::transpose`, a fused B
+// read in `crate::optimized::spmm_simd`.
 //
 // SAFETY contract (all): shapes passed `check_spmm_shapes` (or its
 // transposed-B twin), and this call has exclusive access to every C row

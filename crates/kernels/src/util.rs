@@ -13,7 +13,9 @@ use spmm_parallel::{Schedule, ThreadPool};
 /// The body is `#[inline(always)]`, so LLVM inlines it (and the `axpy`
 /// loops inside it) into the AVX2 copy and vectorizes them 256 bits wide.
 /// [`Scalar::mul_add`] is an unfused `a * b + c` that Rust never
-/// contracts, so both copies compute bit-identical results.
+/// contracts, and [`Scalar::fused_mul_add`] (the [`Fused`] readers) is
+/// correctly rounded in both copies, so both copies compute
+/// bit-identical results.
 ///
 /// Each wrapped item is an `unsafe fn` over `<T: Scalar, I: Index, const
 /// ..: usize>`, optionally followed by `B: ReadB<T>` for the flat bodies
@@ -27,6 +29,7 @@ use spmm_parallel::{Schedule, ThreadPool};
 /// [`SimdLevel`]: crate::simd::SimdLevel
 /// [`SimdLevel::Avx2Fma`]: crate::simd::SimdLevel::Avx2Fma
 /// [`Scalar::mul_add`]: spmm_core::Scalar::mul_add
+/// [`Scalar::fused_mul_add`]: spmm_core::Scalar::fused_mul_add
 macro_rules! isa_twin {
     // One item, its generics normalised to a declaration list and the
     // matching turbofish list.
@@ -151,10 +154,11 @@ pub(crate) fn axpy<T: Scalar>(c_row: &mut [T], a: T, b_row: &[T], k: usize) {
 /// How a flat kernel body reads B: [`ReadB::axpy`] adds `v · B[j][..k]`
 /// to a C row. `&DenseMatrix` reads row `j` of B itself, contiguous;
 /// [`Transposed`](crate::transpose::Transposed) gathers it from a
-/// pre-transposed B (Study 8); a slice is SpMV's x, a `cols × 1` B. The
-/// bodies are monomorphised per reader, so the row-major instance
-/// compiles to the same loop as a body written against `&DenseMatrix`
-/// directly.
+/// pre-transposed B (Study 8); a slice is SpMV's x, a `cols × 1` B; and
+/// [`Fused`] reads either of the last two with a fused multiply-add (the
+/// `simd` variant). The bodies are monomorphised per reader, so the
+/// row-major instance compiles to the same loop as a body written against
+/// `&DenseMatrix` directly.
 pub(crate) trait ReadB<T>: Copy {
     /// `c_row[..k] += v · B[j][..k]`.
     fn axpy(self, c_row: &mut [T], v: T, j: usize, k: usize);
@@ -172,6 +176,33 @@ impl<T: Scalar> ReadB<T> for &[T] {
     fn axpy(self, c_row: &mut [T], v: T, j: usize, k: usize) {
         debug_assert_eq!(k, 1, "a vector is a one-column B");
         c_row[0] = v.mul_add(self[j], c_row[0]);
+    }
+}
+
+/// B or x read as by the wrapped reader, but with every multiply-add fused
+/// ([`Scalar::fused_mul_add`]): one rounding per term instead of two.
+/// The `simd` variant's readers, run only at a level with FMA: built for
+/// AVX2+FMA each term is one `vfmadd`, where a build without FMA would
+/// call libm.
+#[derive(Clone, Copy)]
+pub(crate) struct Fused<R>(pub(crate) R);
+
+impl<T: Scalar> ReadB<T> for Fused<&DenseMatrix<T>> {
+    #[inline(always)]
+    fn axpy(self, c_row: &mut [T], v: T, j: usize, k: usize) {
+        let c_row = &mut c_row[..k];
+        let b_row = &self.0.row(j)[..k];
+        for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+            *cv = v.fused_mul_add(bv, *cv);
+        }
+    }
+}
+
+impl<T: Scalar> ReadB<T> for Fused<&[T]> {
+    #[inline(always)]
+    fn axpy(self, c_row: &mut [T], v: T, j: usize, k: usize) {
+        debug_assert_eq!(k, 1, "a vector is a one-column B");
+        c_row[0] = v.fused_mul_add(self.0[j], c_row[0]);
     }
 }
 

@@ -1,19 +1,18 @@
-//! Property tests on the SIMD micro-kernel layer: every vector kernel at
-//! every dispatch level computes the COO reference result.
+//! Property tests on the `simd` variant: every `simd` kernel at both
+//! levels the host can run computes the COO reference result.
 //!
-//! Tolerance note: the AVX2 bodies use fused multiply-add, so each
-//! accumulation rounds once where the scalar bodies round twice, and the
-//! vector kernels also reassociate the reduction (4 or 8 partial sums).
-//! Both effects perturb results by a few ULPs per accumulated term. With
-//! the bounded dyadic inputs below (values are multiples of 1/8, at most
-//! 120 terms per output) the divergence stays far under `TOL = 1e-9`
-//! relative for f64; the f32 test widens that to `TOL_F32 = 1e-4`.
+//! Tolerance note: above the scalar level the kernels fuse each
+//! multiply-add, rounding once where the other kernels round twice, and
+//! the SpMV kernels also reassociate each row sum. Both effects perturb
+//! results by a few ULPs per accumulated term. With the bounded dyadic
+//! inputs below (values are multiples of 1/8, at most 120 terms per
+//! output) the divergence stays far under `TOL = 1e-9` relative for f64;
+//! the f32 test widens that to `TOL_F32 = 1e-4`.
 
 use proptest::prelude::*;
-use spmm_core::{
-    max_rel_error, BcsrMatrix, CooMatrix, CsrMatrix, DenseMatrix, EllMatrix, SellMatrix,
-};
-use spmm_kernels::simd::{self, SimdLevel, SimdScalar};
+use spmm_core::{max_rel_error, CooMatrix, CsrMatrix, DenseMatrix, SellMatrix, SparseFormat};
+use spmm_kernels::simd::{self, SimdLevel};
+use spmm_kernels::FormatData;
 
 const TOL: f64 = 1e-9;
 const TOL_F32: f64 = 1e-4;
@@ -28,11 +27,23 @@ fn sparse_matrix() -> impl Strategy<Value = CooMatrix<f64>> {
     })
 }
 
-/// Both dispatch levels reachable on this host. On an AVX2 machine this is
-/// [scalar, avx2]; elsewhere it degenerates to the scalar level twice,
-/// which still exercises the dispatch table.
+/// Both levels reachable on this host. On an AVX2 machine this is
+/// [scalar, avx2]; elsewhere it degenerates to the scalar level twice.
 fn levels() -> [SimdLevel; 2] {
     [SimdLevel::Scalar, simd::hardware_level()]
+}
+
+/// SELL-C-σ of `coo` with slice height `lanes`.
+fn sell<T: spmm_core::Scalar>(coo: &CooMatrix<T>, lanes: usize, sigma: usize) -> FormatData<T> {
+    let csr = CsrMatrix::from_coo(coo);
+    FormatData::Sell(SellMatrix::with_lane_width(&csr, lanes, sigma).expect("SELL constructs"))
+}
+
+fn worst_rel(y: &[f64], want: &[f64]) -> f64 {
+    y.iter()
+        .zip(want)
+        .map(|(a, b)| (a - b).abs() / b.abs().max(1.0))
+        .fold(0.0f64, f64::max)
 }
 
 proptest! {
@@ -43,75 +54,59 @@ proptest! {
         coo in sparse_matrix(),
         k in 1usize..12,
         block in 1usize..5,
-        lanes_pow in 1u32..4,
+        lanes in 1usize..12,
         sigma in 1usize..16,
     ) {
         let b = DenseMatrix::from_fn(coo.cols(), k, |i, j| ((i * 13 + j * 5) % 11) as f64 - 5.0);
         let expected = coo.spmm_reference_k(&b, k);
-
-        let csr = CsrMatrix::<f64>::from_coo(&coo);
-        let ell = EllMatrix::from_coo(&coo).expect("ELL constructs");
-        let bcsr = BcsrMatrix::from_coo(&coo, block).expect("BCSR constructs");
-        // Lane widths 2/4/8 with varying σ exercise full slices, remainder
-        // rows, and sort windows that straddle slice boundaries.
-        let sell = SellMatrix::with_lane_width(&csr, 1 << lanes_pow, sigma)
-            .expect("SELL constructs");
+        // Slice heights 1..=11 with varying σ exercise full slices,
+        // remainder rows, and sort windows that straddle slice boundaries.
+        let kernels = [
+            FormatData::from_coo(SparseFormat::Csr, &coo, block).unwrap(),
+            FormatData::from_coo(SparseFormat::Ell, &coo, block).unwrap(),
+            FormatData::from_coo(SparseFormat::Bcsr, &coo, block).unwrap(),
+            sell(&coo, lanes, sigma),
+        ];
 
         for level in levels() {
-            let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 42.0);
-            simd::csr_spmm_at(level, &csr, &b, k, &mut c);
-            prop_assert!(max_rel_error(&c, &expected) < TOL, "csr {}", level.name());
-
-            c = DenseMatrix::from_fn(coo.rows(), k, |_, _| -1.5);
-            simd::ell_spmm_at(level, &ell, &b, k, &mut c);
-            prop_assert!(max_rel_error(&c, &expected) < TOL, "ell {}", level.name());
-
-            c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 7.0);
-            simd::bcsr_spmm_at(level, &bcsr, &b, k, &mut c);
-            prop_assert!(max_rel_error(&c, &expected) < TOL, "bcsr {}", level.name());
-
-            c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 0.25);
-            simd::sell_spmm_at(level, &sell, &b, k, &mut c);
-            prop_assert!(
-                max_rel_error(&c, &expected) < TOL,
-                "sell C={} σ={sigma} {}",
-                1 << lanes_pow,
-                level.name()
-            );
+            for data in &kernels {
+                let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 42.0);
+                prop_assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
+                prop_assert!(
+                    max_rel_error(&c, &expected) < TOL,
+                    "{} C={lanes} σ={sigma} {}",
+                    data.format(),
+                    level.name()
+                );
+            }
         }
     }
 
     #[test]
     fn simd_spmv_kernels_equal_reference(
         coo in sparse_matrix(),
-        lanes_pow in 1u32..4,
+        lanes in 1usize..12,
         sigma in 1usize..16,
     ) {
         let x: Vec<f64> = (0..coo.cols()).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
         let expected = coo.spmv_reference(&x);
-
-        let csr = CsrMatrix::<f64>::from_coo(&coo);
-        let sell = SellMatrix::with_lane_width(&csr, 1 << lanes_pow, sigma)
-            .expect("SELL constructs");
+        let kernels = [
+            FormatData::from_coo(SparseFormat::Csr, &coo, 1).unwrap(),
+            sell(&coo, lanes, sigma),
+        ];
 
         for level in levels() {
-            let mut y = vec![9.0f64; coo.rows()];
-            simd::csr_spmv_at(level, &csr, &x, &mut y);
-            let worst = y
-                .iter()
-                .zip(&expected)
-                .map(|(a, b)| (a - b).abs() / b.abs().max(1.0))
-                .fold(0.0f64, f64::max);
-            prop_assert!(worst < TOL, "csr-spmv {} diverged {worst:e}", level.name());
-
-            let mut y = vec![-3.0f64; coo.rows()];
-            simd::sell_spmv_at(level, &sell, &x, &mut y);
-            let worst = y
-                .iter()
-                .zip(&expected)
-                .map(|(a, b)| (a - b).abs() / b.abs().max(1.0))
-                .fold(0.0f64, f64::max);
-            prop_assert!(worst < TOL, "sell-spmv {} diverged {worst:e}", level.name());
+            for data in &kernels {
+                let mut y = vec![9.0f64; coo.rows()];
+                prop_assert!(data.spmv_serial_simd_at(level, &x, &mut y));
+                let worst = worst_rel(&y, &expected);
+                prop_assert!(
+                    worst < TOL,
+                    "{}-spmv C={lanes} {} diverged {worst:e}",
+                    data.format(),
+                    level.name()
+                );
+            }
         }
     }
 
@@ -121,8 +116,8 @@ proptest! {
         k in 1usize..10,
     ) {
         // Same dyadic values reconstructed at f32: products and partial
-        // sums stay well inside the 24-bit mantissa, so scalar and 8-lane
-        // FMA paths agree to TOL_F32 easily.
+        // sums stay well inside the 24-bit mantissa, so the unfused and
+        // fused builds agree to TOL_F32 easily.
         let coo32 = CooMatrix::<f32>::from_triplets(
             coo.rows(),
             coo.cols(),
@@ -131,28 +126,31 @@ proptest! {
         .expect("in bounds");
         let b = DenseMatrix::from_fn(coo.cols(), k, |i, j| ((i * 3 + j * 7) % 9) as f32 - 4.0);
         let expected = coo32.spmm_reference_k(&b, k);
-        let csr = CsrMatrix::<f32>::from_coo(&coo32);
-        let sell = SellMatrix::with_lane_width(&csr, 8, 8).expect("SELL constructs");
+        let kernels = [FormatData::Csr(CsrMatrix::from_coo(&coo32)), sell(&coo32, 8, 8)];
 
         for level in levels() {
-            let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 11.0f32);
-            simd::csr_spmm_at(level, &csr, &b, k, &mut c);
-            prop_assert!(max_rel_error(&c, &expected) < TOL_F32, "csr f32 {}", level.name());
-
-            c = DenseMatrix::from_fn(coo.rows(), k, |_, _| -2.0f32);
-            simd::sell_spmm_at(level, &sell, &b, k, &mut c);
-            prop_assert!(max_rel_error(&c, &expected) < TOL_F32, "sell f32 {}", level.name());
+            for data in &kernels {
+                let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 11.0f32);
+                prop_assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
+                prop_assert!(
+                    max_rel_error(&c, &expected) < TOL_F32,
+                    "{} f32 {}",
+                    data.format(),
+                    level.name()
+                );
+            }
         }
     }
 }
 
 /// The force-scalar override (what `spmm-bench --simd scalar` and
-/// `SPMM_SIMD=scalar` install) really pins the active-level entry points
-/// to the portable bodies. This is the only test in this binary touching
-/// the global level; everything else pins levels via the `_at` variants.
+/// `SPMM_SIMD=scalar` install) really pins the active-level entry point
+/// to the portable, unfused build. This is the only test in this binary
+/// touching the global level; everything else pins levels via the `_at`
+/// variants.
 #[test]
 fn force_scalar_override_pins_dispatch() {
-    let coo = CooMatrix::from_triplets(
+    let coo = CooMatrix::<f64>::from_triplets(
         5,
         7,
         &[
@@ -164,9 +162,18 @@ fn force_scalar_override_pins_dispatch() {
         ],
     )
     .expect("in bounds");
-    let b = DenseMatrix::from_fn(7, 9, |i, j| (i + 2 * j) as f64);
+    let b = DenseMatrix::from_fn(7, 9, |i, j| (i + 2 * j) as f64 * 0.1);
     let expected = coo.spmm_reference_k(&b, 9);
-    let csr = CsrMatrix::<f64>::from_coo(&coo);
+    let data = FormatData::from_coo(SparseFormat::Csr, &coo, 1).unwrap();
+    let run = |at: Option<SimdLevel>| {
+        let mut c = DenseMatrix::zeros(5, 9);
+        match at {
+            Some(level) => assert!(data.spmm_serial_simd_at(level, &b, 9, &mut c)),
+            None => assert!(data.spmm_serial_simd(&b, 9, &mut c)),
+        }
+        assert!(max_rel_error(&c, &expected) < TOL);
+        c
+    };
 
     // Auto-detection honours `SPMM_SIMD`, so it picks the hardware level
     // only without it.
@@ -176,13 +183,9 @@ fn force_scalar_override_pins_dispatch() {
     }
     simd::set_level_override(Some(SimdLevel::Scalar));
     assert_eq!(simd::active_level(), SimdLevel::Scalar);
-    assert_eq!(<f64 as SimdScalar>::lanes(simd::active_level()), 1);
-    let mut c = DenseMatrix::zeros(5, 9);
-    simd::csr_spmm(&csr, &b, 9, &mut c);
-    assert!(max_rel_error(&c, &expected) < TOL);
+    assert_eq!(run(None), run(Some(SimdLevel::Scalar)));
 
     simd::set_level_override(None);
     assert_eq!(simd::active_level(), auto);
-    simd::csr_spmm(&csr, &b, 9, &mut c);
-    assert!(max_rel_error(&c, &expected) < TOL);
+    assert_eq!(run(None), run(Some(auto)));
 }

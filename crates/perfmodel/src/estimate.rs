@@ -152,24 +152,6 @@ pub fn serial_time_s(machine: &MachineProfile, w: &SpmmWorkload) -> f64 {
     compute + memory
 }
 
-/// Modelled serial speedup from the runtime-dispatched SIMD micro-kernels
-/// (Study 12's prediction). Only the compute term contracts — by the ratio
-/// of the vector to the scalar FLOP ceiling — while the memory term is
-/// untouched: vectorizing an FMA does nothing for the gathers feeding it.
-/// Memory-bound workloads therefore sit near 1.0 and compute-bound ones
-/// approach the lane-count ratio; the result is clamped to at least 1.0
-/// (the dispatch layer never picks a vector kernel that loses to scalar).
-pub fn simd_speedup(machine: &MachineProfile, w: &SpmmWorkload) -> f64 {
-    let compute = w.executed_flops() * format_cpi_factor(w) / (core_gflops(machine, w) * 1e9);
-    let memory = traffic_bytes(machine, w) / (machine.per_core_gbps * 1e9);
-    let vec_gain = (machine.vector_peak_gflops() / machine.core_peak_gflops()).max(1.0);
-    let vectorized = compute / vec_gain + memory;
-    if vectorized <= 0.0 {
-        return 1.0;
-    }
-    ((compute + memory) / vectorized).max(1.0)
-}
-
 /// Static-partition load imbalance: how much longer the worst thread runs
 /// than the average. Grows with row skew and with threads (fewer rows per
 /// chunk = less averaging), saturating at the all-work-in-one-row bound.
@@ -366,32 +348,6 @@ mod tests {
         let arm = MachineProfile::grace_hopper();
         let empty = SpmmWorkload::new(SparseFormat::Csr, 10, 10, 0, 0, 0, 0, 1, 128);
         assert_eq!(estimate_spmm_mflops(&arm, &empty, 32), 0.0);
-    }
-
-    #[test]
-    fn simd_speedup_tracks_compute_boundedness_and_lanes() {
-        let arm = MachineProfile::grace_hopper();
-        let x86 = MachineProfile::aries_milan();
-        let w = workload(SparseFormat::Csr, 128);
-        // A meaningful (>20%) serial gain on the cache-friendly workload,
-        // strictly below the lane-ratio ceiling — the memory term never
-        // vanishes, so full lane-count scaling is unreachable.
-        for m in [&arm, &x86] {
-            let s = simd_speedup(m, &w);
-            assert!(s > 1.2, "{}: {s}", m.name);
-            assert!(
-                s < m.vector_peak_gflops() / m.core_peak_gflops(),
-                "{}: {s}",
-                m.name
-            );
-        }
-        // A scattered workload (full-B window, every re-load missing) is
-        // memory-bound: vectorization buys almost nothing.
-        let scattered = workload(SparseFormat::Csr, 128).with_col_window(62_451);
-        assert!(simd_speedup(&x86, &scattered) < simd_speedup(&x86, &w));
-        // Degenerate: empty workload models as exactly 1.0.
-        let empty = SpmmWorkload::new(SparseFormat::Csr, 10, 10, 0, 0, 0, 0, 1, 128);
-        assert_eq!(simd_speedup(&x86, &empty), 1.0);
     }
 
     #[test]

@@ -30,8 +30,6 @@ mod estimate;
 mod machine;
 mod tiling;
 
-pub use estimate::{
-    conversion_seconds, estimate_spmm_mflops, serial_time_s, simd_speedup, SpmmWorkload,
-};
+pub use estimate::{conversion_seconds, estimate_spmm_mflops, serial_time_s, SpmmWorkload};
 pub use machine::MachineProfile;
 pub use tiling::{panel_width_for_cache, select_tile_shape, TileShape};

@@ -40,9 +40,6 @@ pub struct MachineProfile {
     /// what the lane-width-aware SELL-C-σ construction and the tiled
     /// engine's register-blocking heuristic key off.
     pub simd_lanes_f64: usize,
-    /// FLOPs per lane per cycle the vector FMA pipes sustain on SpMM's
-    /// gather-fed inner loop (2.0 = one fused multiply-add per cycle).
-    pub simd_flops_per_lane_cycle: f64,
 }
 
 impl MachineProfile {
@@ -67,7 +64,6 @@ impl MachineProfile {
             blocked_simd_bonus: 1.6,
             // Neoverse V2: 4 × 128-bit NEON pipes; 2 FP64 lanes per register.
             simd_lanes_f64: 2,
-            simd_flops_per_lane_cycle: 2.0,
         }
     }
 
@@ -96,7 +92,6 @@ impl MachineProfile {
             blocked_simd_bonus: 0.85,
             // Zen 3: 256-bit AVX2 + FMA; 4 FP64 lanes per register.
             simd_lanes_f64: 4,
-            simd_flops_per_lane_cycle: 2.0,
         }
     }
 
@@ -122,7 +117,6 @@ impl MachineProfile {
             blocked_simd_bonus: 1.0,
             // The container advertises AVX2 + FMA: 4 FP64 lanes.
             simd_lanes_f64: 4,
-            simd_flops_per_lane_cycle: 2.0,
         }
     }
 
@@ -134,13 +128,6 @@ impl MachineProfile {
     /// Peak FP64 GFLOP/s of one core.
     pub fn core_peak_gflops(&self) -> f64 {
         self.clock_ghz * self.flops_per_cycle
-    }
-
-    /// Peak FP64 GFLOP/s of one core's vector pipes when the kernel keeps
-    /// them fed (the SIMD micro-kernels' ceiling; the scalar ceiling is
-    /// [`MachineProfile::core_peak_gflops`]).
-    pub fn vector_peak_gflops(&self) -> f64 {
-        self.clock_ghz * self.simd_lanes_f64 as f64 * self.simd_flops_per_lane_cycle
     }
 }
 
@@ -177,19 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn vector_peak_exceeds_scalar_sustained() {
-        // The vector ceiling (lanes × FMA rate) must sit above the
-        // gather-fed scalar sustained rate on every profile, and the x86
-        // profiles' wider registers must out-peak NEON at equal clocks.
-        for m in [
-            MachineProfile::grace_hopper(),
-            MachineProfile::aries_milan(),
-            MachineProfile::container_host(),
-        ] {
-            assert!(m.vector_peak_gflops() > m.core_peak_gflops(), "{}", m.name);
-        }
+    fn lane_counts_match_the_isas() {
         assert_eq!(MachineProfile::grace_hopper().simd_lanes_f64, 2);
         assert_eq!(MachineProfile::aries_milan().simd_lanes_f64, 4);
+        assert_eq!(MachineProfile::container_host().simd_lanes_f64, 4);
     }
 
     #[test]

@@ -10,8 +10,15 @@
 //! `spmm_serial`'s C at k = 1 bit for bit, since SpMV is the `K = 1`
 //! instance of the const-`K` bodies.
 //!
+//! The `simd` variant is the same bodies with a fused multiply-add above
+//! the scalar level, so it gets its own two checks: pinned to
+//! `SimdLevel::Scalar` it equals `spmm_serial` bit for bit, and at the
+//! host's level it equals a fused reference computed here.
+//!
 //! The SIMD level override is process-global, so this file is its own
-//! test binary with a single test.
+//! test binary, and only its first test touches the override; the `simd`
+//! tests pin their level explicitly and compare against `spmm_serial`,
+//! whose result is the same at either level.
 
 use spmm_bench::core::{DenseMatrix, SparseFormat};
 use spmm_bench::kernels::simd::{self, SimdLevel};
@@ -148,4 +155,132 @@ fn portable_and_host_isa_kernels_agree_bit_for_bit() {
     let cases = adversarial_corpus().len();
     assert!(cases >= 20, "only {cases} corpus cases");
     assert_eq!(portable.len(), cases * RUNS_PER_CASE);
+}
+
+/// The formats with a `simd` SpMM kernel.
+const SIMD_FORMATS: [SparseFormat; 4] = [
+    SparseFormat::Csr,
+    SparseFormat::Ell,
+    SparseFormat::Bcsr,
+    SparseFormat::Sell,
+];
+
+/// Every corpus case with its operand at the largest `k`.
+fn corpus_with_b() -> Vec<(Case, DenseMatrix<f64>)> {
+    adversarial_corpus()
+        .into_iter()
+        .map(|case| {
+            let b = Case {
+                k: KS[KS.len() - 1],
+                ..case.clone()
+            }
+            .b();
+            (case, b)
+        })
+        .collect()
+}
+
+#[test]
+fn simd_at_scalar_level_is_spmm_serial_bit_for_bit() {
+    let mut failures = Vec::new();
+    let mut runs = 0;
+    for (case, b) in corpus_with_b() {
+        let rows = case.coo.rows();
+        for format in SparseFormat::ALL {
+            let data = FormatData::from_coo(format, &case.coo, case.block).unwrap();
+            for k in KS {
+                let mut c = DenseMatrix::from_fn(rows, k, |_, _| f64::NAN);
+                let ran = data.spmm_serial_simd_at(SimdLevel::Scalar, &b, k, &mut c);
+                assert_eq!(ran, SIMD_FORMATS.contains(&format), "{format}");
+                if !ran {
+                    continue;
+                }
+                let mut want = DenseMatrix::zeros(rows, k);
+                data.spmm_serial(&b, k, &mut want);
+                if !same_bits(&c, &want) {
+                    failures.push(format!("{}/{format}/k={k}", case.name));
+                }
+                runs += 1;
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "differs from spmm_serial:\n{}",
+        failures.join("\n")
+    );
+    assert_eq!(
+        runs,
+        adversarial_corpus().len() * SIMD_FORMATS.len() * KS.len()
+    );
+}
+
+/// `C[i][..k]` accumulated from zero with one fused multiply-add
+/// (`f64::mul_add`) per stored entry of row `i`, in storage order. All
+/// four `simd` formats hold a row's entries in CSR's order, but BCSR keeps
+/// one dense slot per column: duplicate entries, which CSR keeps apart,
+/// are summed into it in order (`dense_slots`).
+fn fused_reference(
+    csr: &FormatData<f64>,
+    dense_slots: bool,
+    b: &DenseMatrix<f64>,
+    k: usize,
+) -> DenseMatrix<f64> {
+    let FormatData::Csr(csr) = csr else {
+        panic!("not CSR");
+    };
+    let mut c = DenseMatrix::zeros(csr.rows(), k);
+    for i in 0..csr.rows() {
+        let (cols, vals) = csr.row(i);
+        let mut entries: Vec<(usize, f64)> = Vec::new();
+        for (&j, &v) in cols.iter().zip(vals) {
+            match entries.last_mut() {
+                Some((last, sum)) if dense_slots && *last == j => *sum += v,
+                _ => entries.push((j, v)),
+            }
+        }
+        let c_row = &mut c.row_mut(i)[..k];
+        for (j, v) in entries {
+            for (cv, &bv) in c_row.iter_mut().zip(&b.row(j)[..k]) {
+                *cv = v.mul_add(bv, *cv);
+            }
+        }
+    }
+    c
+}
+
+#[test]
+fn simd_at_host_level_is_the_fused_reference() {
+    let level = simd::hardware_level();
+    let mut failures = Vec::new();
+    let mut cases = 0;
+    // The padding and zero entries some formats add or skip are exact
+    // no-ops (`0 · b + c == c`) only for finite b, so the comparison is
+    // IEEE `==` (which equates ±0) on the cases with finite values.
+    for (case, b) in corpus_with_b() {
+        if !case.coo.iter().all(|(_, _, v)| v.is_finite()) {
+            continue;
+        }
+        cases += 1;
+        let rows = case.coo.rows();
+        let csr = FormatData::from_coo(SparseFormat::Csr, &case.coo, case.block).unwrap();
+        for format in SIMD_FORMATS {
+            let data = FormatData::from_coo(format, &case.coo, case.block).unwrap();
+            for k in KS {
+                let want = fused_reference(&csr, format == SparseFormat::Bcsr, &b, k);
+                let mut c = DenseMatrix::from_fn(rows, k, |_, _| f64::NAN);
+                assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
+                if c.as_slice() != want.as_slice() {
+                    failures.push(format!("{}/{format}/k={k}/{}", case.name, level.name()));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "differs from the fused reference:\n{}",
+        failures.join("\n")
+    );
+    // All but the NaN and infinity payload cases.
+    assert!(cases >= 18, "only {cases} finite corpus cases");
 }
