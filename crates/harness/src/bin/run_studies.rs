@@ -177,13 +177,20 @@ fn main() {
         println!("  {format}: {speedup:.2}x");
     }
 
-    // Study 12 (extension): the simd kernels' portable vs host-ISA build.
-    eprintln!("measuring Study 12 (portable vs host-ISA build) on the host ...");
+    // Study 12 (extension): the simd kernels' portable vs ISA builds.
+    eprintln!("measuring Study 12 (portable vs every ISA build) on the host ...");
     let s12 = study12::study12(&ctx, &suite);
     emit(&s12);
-    println!("Study 12 host-ISA-over-portable speedup (mean over matrices):");
-    for (kernel, speedup) in study12::simd_speedup_summary(&s12) {
-        println!("  {kernel}: {speedup:.2}x");
+    println!(
+        "Study 12 speedup over the portable build (median over matrices; \
+         points whose IQR lies above / below 1):"
+    );
+    for s in study12::simd_speedup_summary(&s12) {
+        let (label, n) = (s.label, s.points);
+        println!(
+            "  {label}: {:.2}x, faster at {}/{n}, slower at {}/{n}",
+            s.median, s.faster, s.slower
+        );
     }
     emit(&study12::study12_k_sweep(&ctx, &suite[0]));
 

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::benchmark::{SpmmBenchmark, SuiteBenchmark};
+use crate::benchmark::{Backend, Op, SpmmBenchmark, SuiteBenchmark};
 use crate::json::Json;
 use crate::params::Params;
 use crate::timer::{flops, Timings};
@@ -20,9 +20,10 @@ pub struct Report {
     pub backend: String,
     /// Variant name.
     pub variant: String,
-    /// k-loop bound.
+    /// Columns of B the kernel multiplied: the k-loop bound, 1 for SpMV.
     pub k: usize,
-    /// Thread count (parallel backends).
+    /// Host threads the kernel ran on: `-t` for the parallel backend, 1
+    /// otherwise.
     pub threads: usize,
     /// Block size (blocked formats).
     pub block: usize,
@@ -101,8 +102,12 @@ impl Report {
             format: params.format.name().to_string(),
             backend: params.backend.name().to_string(),
             variant: params.variant.name().to_string(),
-            k: params.k,
-            threads: params.threads,
+            k: if params.op == Op::Spmv { 1 } else { params.k },
+            threads: if params.backend == Backend::Parallel {
+                params.threads
+            } else {
+                1
+            },
             block: params.block,
             iterations: params.iterations,
             rows: p.rows,
@@ -330,6 +335,47 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("MFLOPS"));
         assert!(text.contains("verify:      PASSED"));
+    }
+
+    #[test]
+    fn report_names_the_threads_and_columns_that_ran() {
+        let report = |backend, op| {
+            let params = Params::builder()
+                .matrix("dw4096")
+                .backend(backend)
+                .op(op)
+                .threads(3)
+                .iterations(1)
+                .scale(0.2)
+                .build()
+                .unwrap();
+            run(&mut SuiteBenchmark::from_params(params).unwrap()).unwrap()
+        };
+        for (backend, op, k, threads) in [
+            (Backend::Serial, Op::Spmm, 128, 1),
+            (Backend::Parallel, Op::Spmm, 128, 3),
+            (Backend::Serial, Op::Spmv, 1, 1),
+            (Backend::Parallel, Op::Spmv, 1, 3),
+        ] {
+            let r = report(backend, op);
+            let label = format!("{} {}", backend.name(), op.name());
+            assert_eq!((r.k, r.threads), (k, threads), "{label}");
+            assert!(
+                r.to_string()
+                    .contains(&format!("params:      k={k}, threads={threads},")),
+                "{label}"
+            );
+            let csv = r.csv_row();
+            let fields: Vec<&str> = csv.split(',').collect();
+            assert_eq!(
+                fields[4..6],
+                [k.to_string(), threads.to_string()],
+                "{label}"
+            );
+            let json = Json::parse(&r.to_json()).unwrap();
+            assert_eq!(json["k"].as_f64(), Some(k as f64), "{label}");
+            assert_eq!(json["threads"].as_f64(), Some(threads as f64), "{label}");
+        }
     }
 
     #[test]

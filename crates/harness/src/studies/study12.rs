@@ -1,20 +1,24 @@
-//! Study 12 (extension): what the ISA buys one kernel body.
+//! Study 12 (extension): what each ISA level buys one kernel body.
 //!
 //! The vectorization study the paper leaves implicit: every CPU number it
 //! reports comes from whatever the compiler auto-vectorized for a baseline
-//! target. This study runs the `simd` variant of each kernel twice on the
-//! host — pinned to [`SimdLevel::Scalar`], the portable build of its body
-//! with unfused multiply-adds, and at the detected
-//! [`spmm_kernels::simd::hardware_level`], the same body built for
-//! AVX2+FMA with fused multiply-adds — per format (CSR, ELL, BCSR,
-//! SELL-C-σ) and for the two `simd` SpMV kernels. No second kernel is
-//! written per ISA: the gap is the compiler's, for one body. SELL is built
-//! *lane-width-aware*: its slice height C is the FP64 lane count of
+//! target. This study runs the `simd` variant of each kernel at every
+//! level the host runs ([`spmm_kernels::simd::levels`]) — pinned to
+//! [`SimdLevel::Scalar`], the portable build of its body with unfused
+//! multiply-adds, then the same body built for AVX2+FMA and, where the CPU
+//! has it, AVX-512, both with fused multiply-adds — per format (CSR, ELL,
+//! BCSR, SELL-C-σ) and for the two `simd` SpMV kernels. No second kernel
+//! is written per ISA: the gap is the compiler's, for one body. SELL is
+//! built *lane-width-aware*: its slice height C is the FP64 lane count of
 //! [`MachineProfile::container_host`] via [`SellMatrix::with_lane_width`],
 //! so one slice slot is one vector register.
 //!
-//! Like Studies 8–11 this probes code generation, which is observable on
-//! any host, so both sides are wall-clock measurements.
+//! Each point is timed in [`ROUNDS`] rounds that call every level once,
+//! rotating the order from round to round, so slow drift on a shared host
+//! hits every level alike; a level's speedup is the per-round ratio to the
+//! portable call of the same round. Like Studies 8–11 this probes code
+//! generation, which is observable on any host, so every value is a
+//! wall-clock measurement.
 
 use spmm_core::{CooMatrix, CsrMatrix, DenseMatrix, SellMatrix, SparseFormat};
 use spmm_kernels::dispatch::SELL_SIGMA;
@@ -23,13 +27,16 @@ use spmm_kernels::FormatData;
 use spmm_perfmodel::MachineProfile;
 
 use super::{MatrixEntry, Series, StudyContext, StudyResult};
-use crate::timer::time_repeated;
+use crate::timer::time_once;
 
 /// The k sweep of the vectorization study (§5.1's default plus the points
 /// where the B panel stops fitting L1).
 pub const SWEEP_KS: [usize; 5] = [32, 64, 128, 256, 512];
 
-/// The study's kernels in series order: label, format, and whether it is
+/// Timed rounds per point; each calls every level once.
+pub const ROUNDS: usize = 9;
+
+/// The study's kernels in row order: label, format, and whether it is
 /// the SpMV kernel.
 const KERNELS: [(&str, SparseFormat, bool); 6] = [
     ("csr", SparseFormat::Csr, false),
@@ -56,23 +63,39 @@ fn formatted(coo: &CooMatrix<f64>, format: SparseFormat, block: usize) -> Format
     }
 }
 
-/// A (scalar, simd) pair of empty series per kernel label.
-fn series_pairs<'a>(labels: impl IntoIterator<Item = &'a str>) -> Vec<Series> {
-    let mut series = Vec::new();
-    for name in labels {
-        for lvl in ["scalar", "simd"] {
-            series.push(Series {
-                label: format!("{name}/{lvl}"),
-                values: Vec::new(),
-            });
-        }
-    }
-    series
+/// One empty series per label.
+fn empty_series(labels: impl IntoIterator<Item = String>) -> Vec<Series> {
+    let series = |label| Series {
+        label,
+        values: Vec::new(),
+    };
+    labels.into_iter().map(series).collect()
 }
 
-fn measured(iterations: usize, flops: f64, f: impl FnMut()) -> f64 {
-    let t = time_repeated(iterations, f);
-    flops / t.avg.as_secs_f64() / 1e6
+/// MFLOPS of `run(level)` per level (outer) and round (inner): one call
+/// per level per round, the order rotating by one level each round.
+fn rounds(levels: &[SimdLevel], flops: f64, mut run: impl FnMut(SimdLevel)) -> Vec<Vec<f64>> {
+    let mut mflops = vec![Vec::with_capacity(ROUNDS); levels.len()];
+    for round in 0..ROUNDS {
+        for turn in 0..levels.len() {
+            let l = (round + turn) % levels.len();
+            let (_, t) = time_once(|| run(levels[l]));
+            mflops[l].push(flops / t.as_secs_f64() / 1e6);
+        }
+    }
+    mflops
+}
+
+/// The lower quartile, median and upper quartile of `xs`, interpolating
+/// between order statistics.
+fn quartiles(xs: &[f64]) -> [f64; 3] {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    })
 }
 
 /// Largest error of `y` against `want`, relative to `max(|want|, 1)`.
@@ -83,13 +106,17 @@ fn worst_rel(y: &[f64], want: &[f64]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Measured portable-vs-host-ISA MFLOPS per kernel and matrix at `ctx.k`.
-/// Series come in (scalar, simd) pairs so [`simd_speedup_summary`] and
-/// Study 9's `improvement_percent` pairing both apply.
+/// Measured speedup of every vector level over the portable build, per
+/// (matrix, kernel) point at `ctx.k`. Rows are `matrix/kernel`; each level
+/// above [`SimdLevel::Scalar`] has three series: the median per-round
+/// speedup (`avx2`) and its quartiles (`avx2 q1`, `avx2 q3`).
 pub fn study12(ctx: &StudyContext, suite: &[MatrixEntry]) -> StudyResult {
-    let hw = simd::hardware_level();
-    let iterations = 2;
-    let mut series = series_pairs(KERNELS.iter().map(|&(name, _, _)| name));
+    let levels = simd::levels();
+    let mut series =
+        empty_series(levels[1..].iter().flat_map(|level| {
+            ["", " q1", " q3"].map(|suffix| format!("{}{suffix}", level.name()))
+        }));
+    let mut rows = Vec::new();
 
     for entry in suite {
         let b = spmm_matgen::gen::dense_b(entry.coo.cols(), ctx.k, ctx.seed ^ 0xB);
@@ -101,30 +128,39 @@ pub fn study12(ctx: &StudyContext, suite: &[MatrixEntry]) -> StudyResult {
         let x_ref = entry.coo.spmv_reference(&x);
         let mut y = vec![0.0f64; entry.coo.rows()];
 
-        for (ki, &(name, format, spmv)) in KERNELS.iter().enumerate() {
+        for &(name, format, spmv) in &KERNELS {
             let data = formatted(&entry.coo, format, ctx.block);
-            for (li, level) in [SimdLevel::Scalar, hw].into_iter().enumerate() {
-                let mflops = if spmv {
-                    let mflops = measured(iterations, useful_mv, || {
-                        assert!(data.spmv_serial_simd_at(level, &x, &mut y));
-                    });
-                    let worst = worst_rel(&y, &x_ref);
-                    assert!(worst < 1e-9, "{} {name} {}", entry.name, level.name());
-                    mflops
+            let run = |level, c: &mut DenseMatrix<f64>, y: &mut [f64]| {
+                if spmv {
+                    assert!(data.spmv_serial_simd_at(level, &x, y));
                 } else {
-                    let mflops = measured(iterations, useful_mm, || {
-                        assert!(data.spmm_serial_simd_at(level, &b, ctx.k, &mut c));
-                    });
-                    assert!(
-                        spmm_core::max_rel_error(&c, &reference) < 1e-9,
-                        "{} {name} {}",
-                        entry.name,
-                        level.name()
-                    );
-                    mflops
+                    assert!(data.spmm_serial_simd_at(level, &b, ctx.k, c));
+                }
+            };
+            // One untimed, checked call per level.
+            for &level in &levels {
+                run(level, &mut c, &mut y);
+                let worst = if spmv {
+                    worst_rel(&y, &x_ref)
+                } else {
+                    spmm_core::max_rel_error(&c, &reference)
                 };
-                series[2 * ki + li].values.push(mflops);
+                assert!(worst < 1e-9, "{} {name} {}", entry.name, level.name());
             }
+            let flops = if spmv { useful_mv } else { useful_mm };
+            let mflops = rounds(&levels, flops, |level| run(level, &mut c, &mut y));
+            for (l, at_level) in mflops.iter().enumerate().skip(1) {
+                let ratios: Vec<f64> = at_level
+                    .iter()
+                    .zip(&mflops[0])
+                    .map(|(v, s)| v / s)
+                    .collect();
+                let [q1, median, q3] = quartiles(&ratios);
+                for (s, value) in [median, q1, q3].into_iter().enumerate() {
+                    series[3 * (l - 1) + s].values.push(value);
+                }
+            }
+            rows.push(format!("{}/{name}", entry.name));
         }
     }
 
@@ -132,25 +168,27 @@ pub fn study12(ctx: &StudyContext, suite: &[MatrixEntry]) -> StudyResult {
         id: "study12".to_string(),
         figure: "Figure 6.3 (extension)".to_string(),
         title: format!(
-            "Study 12: portable vs {} build of the same body (SELL C={})",
-            hw.name(),
+            "Study 12: speedup of each ISA build over the portable one (SELL C={})",
             sell_lane_width()
         ),
-        rows: suite.iter().map(|m| m.name.clone()).collect(),
+        rows,
         series,
-        unit: "MFLOPS".to_string(),
+        unit: "x portable".to_string(),
     }
 }
 
-/// Measured portable-vs-host-ISA MFLOPS for CSR and lane-width SELL
-/// across the [`SWEEP_KS`] sweep on one matrix — the trajectory view: at
-/// which k the vector units pull away from the portable build.
+/// Measured portable-vs-host-ISA MFLOPS (medians of [`ROUNDS`]
+/// alternating rounds) for CSR and lane-width SELL across the
+/// [`SWEEP_KS`] sweep on one matrix — the trajectory view: at which k the
+/// vector units pull away from the portable build.
 pub fn study12_k_sweep(ctx: &StudyContext, entry: &MatrixEntry) -> StudyResult {
-    let hw = simd::hardware_level();
-    let iterations = 2;
-    let kernels = [SparseFormat::Csr, SparseFormat::Sell]
-        .map(|format| formatted(&entry.coo, format, ctx.block));
-    let mut series = series_pairs(["csr", "sell"]);
+    let levels = [SimdLevel::Scalar, simd::hardware_level()];
+    let kernels = [("csr", SparseFormat::Csr), ("sell", SparseFormat::Sell)];
+    let mut series = empty_series(
+        kernels
+            .iter()
+            .flat_map(|(name, _)| ["scalar", "simd"].map(|lvl| format!("{name}/{lvl}"))),
+    );
 
     for &k in &SWEEP_KS {
         let b = spmm_matgen::gen::dense_b(entry.coo.cols(), k, ctx.seed ^ 0xB);
@@ -158,14 +196,18 @@ pub fn study12_k_sweep(ctx: &StudyContext, entry: &MatrixEntry) -> StudyResult {
         let useful = spmm_kernels::spmm_flops(entry.coo.nnz(), k) as f64;
         let mut c = DenseMatrix::zeros(entry.coo.rows(), k);
 
-        for (ki, data) in kernels.iter().enumerate() {
-            for (li, level) in [SimdLevel::Scalar, hw].into_iter().enumerate() {
-                series[2 * ki + li]
-                    .values
-                    .push(measured(iterations, useful, || {
-                        assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
-                    }));
+        for (ki, (_, format)) in kernels.into_iter().enumerate() {
+            let data = formatted(&entry.coo, format, ctx.block);
+            // One untimed, checked call per level.
+            for level in levels {
+                assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
                 assert!(spmm_core::max_rel_error(&c, &reference) < 1e-9);
+            }
+            let mflops = rounds(&levels, useful, |level| {
+                assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
+            });
+            for (li, at_level) in mflops.iter().enumerate() {
+                series[2 * ki + li].values.push(quartiles(at_level)[1]);
             }
         }
     }
@@ -173,32 +215,51 @@ pub fn study12_k_sweep(ctx: &StudyContext, entry: &MatrixEntry) -> StudyResult {
     StudyResult {
         id: format!("study12-ksweep-{}", entry.name),
         figure: "Figure 6.4 (extension)".to_string(),
-        title: format!("Study 12: {} speedup vs k ({})", hw.name(), entry.name),
+        title: format!(
+            "Study 12: {} speedup vs k ({})",
+            simd::hardware_level().name(),
+            entry.name
+        ),
         rows: SWEEP_KS.iter().map(|k| format!("k={k}")).collect(),
         series,
         unit: "MFLOPS".to_string(),
     }
 }
 
-/// Mean host-ISA-over-portable speedup per kernel (1.0 = parity), walking
-/// the study's (scalar, simd) series pairs.
-pub fn simd_speedup_summary(result: &StudyResult) -> Vec<(String, f64)> {
+/// One kernel's speedup at one ISA level across the study's matrices.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LevelSpeedup {
+    /// Kernel and level (`csr avx512`).
+    pub label: String,
+    /// Median over the matrices of the per-point median speedups.
+    pub median: f64,
+    /// Points whose speedup quartiles both lie above 1.
+    pub faster: usize,
+    /// Points whose speedup quartiles both lie below 1.
+    pub slower: usize,
+    /// Points measured.
+    pub points: usize,
+}
+
+/// Per kernel and vector level: the median speedup over the portable
+/// build, and at how many points its interquartile range excludes 1.
+pub fn simd_speedup_summary(result: &StudyResult) -> Vec<LevelSpeedup> {
     let mut out = Vec::new();
-    let mut i = 0;
-    while i + 1 < result.series.len() {
-        let scalar = &result.series[i];
-        let vector = &result.series[i + 1];
-        let ratios: Vec<f64> = scalar
-            .values
-            .iter()
-            .zip(&vector.values)
-            .filter(|(s, v)| s.is_finite() && v.is_finite() && **s > 0.0)
-            .map(|(s, v)| v / s)
-            .collect();
-        let mean = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
-        let kernel = scalar.label.split('/').next().unwrap_or(&scalar.label);
-        out.push((kernel.to_string(), mean));
-        i += 2;
+    for triple in result.series.chunks_exact(3) {
+        let [median, q1, q3] = [0, 1, 2].map(|s| &triple[s].values);
+        for &(kernel, _, _) in &KERNELS {
+            let points: Vec<usize> = (0..result.rows.len())
+                .filter(|&r| result.rows[r].rsplit('/').next() == Some(kernel))
+                .collect();
+            let medians: Vec<f64> = points.iter().map(|&r| median[r]).collect();
+            out.push(LevelSpeedup {
+                label: format!("{kernel} {}", triple[0].label),
+                median: quartiles(&medians)[1],
+                faster: points.iter().filter(|&&r| q1[r] > 1.0).count(),
+                slower: points.iter().filter(|&&r| q3[r] < 1.0).count(),
+                points: points.len(),
+            });
+        }
     }
     out
 }
@@ -209,18 +270,49 @@ mod tests {
     use crate::studies::load_suite;
 
     #[test]
-    fn study12_measures_every_pair() {
+    fn study12_measures_every_level_at_every_point() {
         let ctx = StudyContext::quick();
         let suite: Vec<_> = load_suite(&ctx).into_iter().take(3).collect();
         let r = study12(&ctx, &suite);
-        assert_eq!(r.series.len(), 12); // 4 SpMM pairs + 2 SpMV pairs
-        for s in &r.series {
-            assert_eq!(s.values.len(), 3, "{}", s.label);
-            assert!(s.values.iter().all(|v| v.is_finite() && *v > 0.0));
+        let vector_levels = simd::levels().len() - 1;
+        assert_eq!(r.rows.len(), 3 * KERNELS.len());
+        assert_eq!(r.series.len(), 3 * vector_levels);
+        for triple in r.series.chunks_exact(3) {
+            for s in triple {
+                assert_eq!(s.values.len(), r.rows.len(), "{}", s.label);
+                assert!(s.values.iter().all(|v| v.is_finite() && *v > 0.0));
+            }
+            for row in 0..r.rows.len() {
+                let [median, q1, q3] = [0, 1, 2].map(|s| triple[s].values[row]);
+                assert!(q1 <= median && median <= q3, "{}", r.rows[row]);
+            }
         }
-        let speedups = simd_speedup_summary(&r);
-        assert_eq!(speedups.len(), 6);
-        assert!(speedups.iter().all(|(_, s)| s.is_finite() && *s > 0.0));
+        let summary = simd_speedup_summary(&r);
+        assert_eq!(summary.len(), KERNELS.len() * vector_levels);
+        for s in &summary {
+            assert!(s.median.is_finite() && s.median > 0.0, "{s:?}");
+            assert_eq!(s.points, 3);
+            assert!(s.faster + s.slower <= s.points);
+        }
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(&[2.0, 1.0]), [1.25, 1.5, 1.75]);
+    }
+
+    #[test]
+    fn rounds_rotate_the_level_order() {
+        let levels = [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512];
+        let mut order = Vec::new();
+        let mflops = rounds(&levels, 1.0, |level| order.push(level));
+        assert!(mflops.iter().all(|m| m.len() == ROUNDS));
+        assert_eq!(order.len(), 3 * ROUNDS);
+        assert_eq!(
+            order[..6],
+            [levels[0], levels[1], levels[2], levels[1], levels[2], levels[0]]
+        );
     }
 
     #[test]

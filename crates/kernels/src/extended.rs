@@ -53,6 +53,7 @@ pub fn sell_spmm_parallel<T: Scalar, I: Index>(
 }
 
 isa_twin! {
+    #[runtime_width(k)]
     /// The C rows of SELL slices `slices`, each zeroed then accumulated.
     ///
     /// # Safety

@@ -211,6 +211,7 @@ pub fn csr5_spmm<T: Scalar, I: Index>(
 }
 
 isa_twin! {
+    #[runtime_width(k)]
     /// CSR5 tiles `tiles` accumulated into C (cleared by the caller), except
     /// that a tile whose first segment continues a row begun in an earlier
     /// tile writes that segment to its private `carry` row `t`.

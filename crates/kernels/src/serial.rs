@@ -125,6 +125,7 @@ pub fn csr5_spmm<T: Scalar, I: Index>(
 // ---------------------------------------------------------------------------
 
 isa_twin! {
+    #[runtime_width(k)]
     /// `C[r] += v · B[j]` over the COO entries in `entries`. Accumulates (the
     /// caller clears C); a C row is written by every entry of that row, so a
     /// parallel caller must cut `entries` at row boundaries.
@@ -143,6 +144,7 @@ isa_twin! {
         }
     }
 
+    #[runtime_width(k)]
     /// CSR rows `rows` of C, each zeroed then accumulated.
     pub(crate) unsafe fn csr_rows<T: Scalar, I: Index, B: ReadB<T>>(
         a: &CsrMatrix<T, I>,
@@ -162,6 +164,7 @@ isa_twin! {
         }
     }
 
+    #[runtime_width(k)]
     /// ELLPACK rows `rows` of C, each zeroed then accumulated.
     pub(crate) unsafe fn ell_rows<T: Scalar, I: Index, B: ReadB<T>>(
         a: &EllMatrix<T, I>,
@@ -180,6 +183,7 @@ isa_twin! {
         }
     }
 
+    #[runtime_width(k)]
     /// The C rows of BCSR block rows `block_rows`, zeroed then accumulated
     /// block by block.
     pub(crate) unsafe fn bcsr_block_rows<T: Scalar, I: Index, B: ReadB<T>>(
@@ -215,6 +219,7 @@ isa_twin! {
         }
     }
 
+    #[runtime_width(k)]
     /// The C rows of BELL strips `strips`, zeroed then accumulated slot by
     /// slot.
     pub(crate) unsafe fn bell_strips<T: Scalar, I: Index>(
@@ -249,6 +254,7 @@ isa_twin! {
         }
     }
 
+    #[runtime_width(k)]
     /// CSR5 tiles `tiles`, accumulated straight into C (the caller clears
     /// it). Serial only: a row that straddles tiles is written by each of
     /// them, which [`crate::parallel::csr5_spmm`]'s carry body avoids.

@@ -261,6 +261,7 @@ isa_twin! {
     // Runtime-width fallbacks for panel widths outside SUPPORTED_K (ragged
     // last panels, odd user-chosen widths).
 
+    #[runtime_width(w)]
     unsafe fn csr_tile_any<T: Scalar, I: Index>(
         a: &CsrMatrix<T, I>,
         rows: Range<usize>,
@@ -281,6 +282,7 @@ isa_twin! {
         }
     }
 
+    #[runtime_width(w)]
     unsafe fn ell_tile_any<T: Scalar, I: Index>(
         a: &EllMatrix<T, I>,
         rows: Range<usize>,
@@ -301,6 +303,7 @@ isa_twin! {
         }
     }
 
+    #[runtime_width(w)]
     unsafe fn bcsr_tile_any<T: Scalar, I: Index>(
         a: &BcsrMatrix<T, I>,
         block_rows: Range<usize>,
@@ -729,7 +732,7 @@ mod tests {
         let ell = EllMatrix::from_coo(&coo).unwrap();
         let bcsr = BcsrMatrix::from_coo(&coo, 3).unwrap();
         let expected = coo.spmm_reference_k(&b, 40);
-        for level in [SimdLevel::Scalar, crate::simd::hardware_level()] {
+        for level in crate::simd::levels() {
             for (panel_w, mr) in [(8usize, 1usize), (8, 4), (16, 2), (5, 4), (40, 1)] {
                 let cfg = TileConfig::new(panel_w, mr);
                 let packed = cfg.pack(&b, 40);

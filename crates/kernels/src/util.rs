@@ -6,34 +6,40 @@ use std::ops::Range;
 use spmm_core::{CooMatrix, DenseMatrix, Index, Scalar};
 use spmm_parallel::{Schedule, ThreadPool};
 
-/// Compile each kernel body it wraps twice — for the baseline target and
-/// under `#[target_feature(enable = "avx2", enable = "fma")]` — behind one
-/// function that takes a leading [`SimdLevel`] and runs the AVX2+FMA copy
-/// when the level is [`SimdLevel::Avx2Fma`], the portable one otherwise.
-/// The body is `#[inline(always)]`, so LLVM inlines it (and the `axpy`
-/// loops inside it) into the AVX2 copy and vectorizes them 256 bits wide.
+/// Compile each kernel body it wraps three times — for the baseline
+/// target, under `#[target_feature]` AVX2+FMA, and under AVX2+FMA plus
+/// AVX-512F+VL — behind one function that takes a leading [`SimdLevel`]
+/// and runs the copy built for that level ([`SimdLevel::Avx2Fma`] or
+/// [`SimdLevel::Avx512`]), the portable one otherwise. The (level,
+/// features) pairs are listed once, in the `@emit` arm. The body is
+/// `#[inline(always)]`, so LLVM inlines it (and the `axpy` loops inside
+/// it) into each copy and vectorizes them 256 or 512 bits wide.
 /// [`Scalar::mul_add`] is an unfused `a * b + c` that Rust never
 /// contracts, and [`Scalar::fused_mul_add`] (the [`Fused`] readers) is
-/// correctly rounded in both copies, so both copies compute
-/// bit-identical results.
+/// correctly rounded in every copy, so all copies compute bit-identical
+/// results.
 ///
 /// Each wrapped item is an `unsafe fn` over `<T: Scalar, I: Index, const
 /// ..: usize>`, optionally followed by `B: ReadB<T>` for the flat bodies
-/// that are generic in how they read B (see [`ReadB`]). The generated
-/// function keeps the body's contract, plus: `level` must be one the
-/// running CPU supports — a value returned by
-/// [`active_level`](crate::simd::active_level), which
+/// that are generic in how they read B (see [`ReadB`]). An item whose
+/// column count is a run-time argument starts with
+/// `#[runtime_width(arg)]`: it runs at
+/// [`at_width`](crate::simd::at_width)`(level, arg)`, the AVX2+FMA copy
+/// below 32 columns on an AVX-512 CPU. The generated function keeps the
+/// body's contract, plus: `level` must be one the running CPU supports —
+/// a value returned by [`active_level`](crate::simd::active_level), which
 /// [`set_level_override`](crate::simd::set_level_override) clamps to
 /// probed levels.
 ///
 /// [`SimdLevel`]: crate::simd::SimdLevel
 /// [`SimdLevel::Avx2Fma`]: crate::simd::SimdLevel::Avx2Fma
+/// [`SimdLevel::Avx512`]: crate::simd::SimdLevel::Avx512
 /// [`Scalar::mul_add`]: spmm_core::Scalar::mul_add
 /// [`Scalar::fused_mul_add`]: spmm_core::Scalar::fused_mul_add
 macro_rules! isa_twin {
     // One item, its generics normalised to a declaration list and the
-    // matching turbofish list.
-    (@emit $(#[$attr:meta])* $vis:vis $name:ident [$($decl:tt)*] [$($args:tt)*]
+    // matching turbofish list, and its run-time width argument if any.
+    (@emit [$($width:ident)?] $(#[$attr:meta])* $vis:vis $name:ident [$($decl:tt)*] [$($args:tt)*]
         ($($arg:ident: $ty:ty),*) $body:block) => {
         $(#[$attr])*
         #[allow(clippy::too_many_arguments)]
@@ -43,26 +49,39 @@ macro_rules! isa_twin {
             #[allow(clippy::too_many_arguments)]
             unsafe fn body<$($decl)*>($($arg: $ty),*) $body
 
+            $(let level = $crate::simd::at_width(level, $width);)?
             #[cfg(target_arch = "x86_64")]
-            if level == $crate::simd::SimdLevel::Avx2Fma {
-                // Safety: the body's contract, and AVX2 and FMA available.
-                #[target_feature(enable = "avx2", enable = "fma")]
-                #[allow(clippy::too_many_arguments)]
-                unsafe fn avx2<$($decl)*>($($arg: $ty),*) {
-                    // SAFETY: the body's contract is forwarded verbatim.
-                    unsafe { body::<$($args)*>($($arg),*) }
-                }
-                // SAFETY: the body's contract is forwarded; the caller
-                // passes a level the CPU was probed for, so AVX2 and FMA
-                // are available.
-                return unsafe { avx2::<$($args)*>($($arg),*) };
+            $crate::util::isa_twin! {
+                @copies level [$($decl)*] [$($args)*] ($($arg: $ty),*);
+                Avx512: "avx2", "fma", "avx512f", "avx512vl";
+                Avx2Fma: "avx2", "fma";
             }
             // SAFETY: the body's contract is forwarded verbatim.
             unsafe { body::<$($args)*>($($arg),*) }
         }
     };
-    () => {};
+    // One `#[target_feature]` copy per (level, features) pair, run when
+    // `level` names it.
+    (@copies $level:ident [$($decl:tt)*] [$($args:tt)*] ($($arg:ident: $ty:ty),*);) => {};
+    (@copies $level:ident [$($decl:tt)*] [$($args:tt)*] ($($arg:ident: $ty:ty),*);
+        $lvl:ident: $($feature:literal),+; $($more:tt)*) => {
+        if $level == $crate::simd::SimdLevel::$lvl {
+            // Safety: the body's contract, and the features available.
+            #[target_feature($(enable = $feature),+)]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn copy<$($decl)*>($($arg: $ty),*) {
+                // SAFETY: the body's contract is forwarded verbatim.
+                unsafe { body::<$($args)*>($($arg),*) }
+            }
+            // SAFETY: the body's contract is forwarded; the caller passes
+            // a level the CPU was probed for, and every level below it on
+            // the ladder has its features too.
+            return unsafe { copy::<$($args)*>($($arg),*) };
+        }
+        $crate::util::isa_twin! { @copies $level [$($decl)*] [$($args)*] ($($arg: $ty),*); $($more)* }
+    };
     (
+        @item [$($width:ident)?]
         $(#[$attr:meta])*
         $vis:vis unsafe fn $name:ident<
             $T:ident: Scalar, $I:ident: Index $(, const $C:ident: usize)*
@@ -70,7 +89,7 @@ macro_rules! isa_twin {
         $($rest:tt)*
     ) => {
         $crate::util::isa_twin! {
-            @emit $(#[$attr])* $vis $name
+            @emit [$($width)?] $(#[$attr])* $vis $name
             [$T: spmm_core::Scalar, $I: spmm_core::Index $(, const $C: usize)*]
             [$T, $I $(, $C)*]
             ($($arg: $ty),*) $body
@@ -81,6 +100,7 @@ macro_rules! isa_twin {
     // matcher can tell it from a const parameter. `>>` is one token in the
     // input, so the matcher spells it as one.
     (
+        @item [$($width:ident)?]
         $(#[$attr:meta])*
         $vis:vis unsafe fn $name:ident<
             $T:ident: Scalar, $I:ident: Index, $(const $C:ident: usize,)* B: ReadB<$BT:ident>>(
@@ -89,12 +109,19 @@ macro_rules! isa_twin {
         $($rest:tt)*
     ) => {
         $crate::util::isa_twin! {
-            @emit $(#[$attr])* $vis $name
+            @emit [$($width)?] $(#[$attr])* $vis $name
             [$T: spmm_core::Scalar, $I: spmm_core::Index, $(const $C: usize,)* B: $crate::util::ReadB<$BT>]
             [$T, $I, $($C,)* B]
             ($($arg: $ty),*) $body
         }
         $crate::util::isa_twin! { $($rest)* }
+    };
+    () => {};
+    (#[runtime_width($width:ident)] $($item:tt)+) => {
+        $crate::util::isa_twin! { @item [$width] $($item)+ }
+    };
+    ($($item:tt)+) => {
+        $crate::util::isa_twin! { @item [] $($item)+ }
     };
 }
 pub(crate) use isa_twin;

@@ -3,12 +3,12 @@
 //! by the useful flops when the kernel ran, and neither moves when the
 //! entry point returned `false`.
 //!
-//! Each entry point runs once with the portable kernels and once at the
-//! host's widest SIMD level. The counters and the level override are
+//! Each entry point runs once at every SIMD level the host runs
+//! ([`simd::levels`]), portable first. The counters and the level override are
 //! process-global, so this file is its own test binary with a single test.
 
 use spmm_core::{CooMatrix, DenseMatrix, SparseFormat};
-use spmm_kernels::simd::{self, SimdLevel};
+use spmm_kernels::simd;
 use spmm_kernels::tiled::TileConfig;
 use spmm_kernels::{spmm_flops, FormatData};
 use spmm_parallel::{Schedule, ThreadPool};
@@ -60,11 +60,10 @@ fn every_entry_point_records_exactly_once() {
     let pool = ThreadPool::new(2);
     let cfg = TileConfig::new(8, 8);
     let packed = cfg.pack(&b, K);
-    let levels = [SimdLevel::Scalar, simd::hardware_level()];
 
     // Every row once per level: the ISA twins return early from their
     // level switch, which must neither skip nor double the record.
-    for level in levels {
+    for level in simd::levels() {
         simd::set_level_override(Some(level));
         for fmt in SparseFormat::ALL {
             let data = FormatData::from_coo(fmt, &coo, 2).unwrap();

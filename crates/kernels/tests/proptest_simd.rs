@@ -1,5 +1,5 @@
-//! Property tests on the `simd` variant: every `simd` kernel at both
-//! levels the host can run computes the COO reference result.
+//! Property tests on the `simd` variant: every `simd` kernel at every
+//! level the host runs ([`simd::levels`]) computes the COO reference result.
 //!
 //! Tolerance note: above the scalar level the kernels fuse each
 //! multiply-add, rounding once where the other kernels round twice, and
@@ -25,12 +25,6 @@ fn sparse_matrix() -> impl Strategy<Value = CooMatrix<f64>> {
         )
         .prop_map(move |trips| CooMatrix::from_triplets(rows, cols, &trips).expect("in bounds"))
     })
-}
-
-/// Both levels reachable on this host. On an AVX2 machine this is
-/// [scalar, avx2]; elsewhere it degenerates to the scalar level twice.
-fn levels() -> [SimdLevel; 2] {
-    [SimdLevel::Scalar, simd::hardware_level()]
 }
 
 /// SELL-C-σ of `coo` with slice height `lanes`.
@@ -68,7 +62,7 @@ proptest! {
             sell(&coo, lanes, sigma),
         ];
 
-        for level in levels() {
+        for level in simd::levels() {
             for data in &kernels {
                 let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 42.0);
                 prop_assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
@@ -95,7 +89,7 @@ proptest! {
             sell(&coo, lanes, sigma),
         ];
 
-        for level in levels() {
+        for level in simd::levels() {
             for data in &kernels {
                 let mut y = vec![9.0f64; coo.rows()];
                 prop_assert!(data.spmv_serial_simd_at(level, &x, &mut y));
@@ -128,7 +122,7 @@ proptest! {
         let expected = coo32.spmm_reference_k(&b, k);
         let kernels = [FormatData::Csr(CsrMatrix::from_coo(&coo32)), sell(&coo32, 8, 8)];
 
-        for level in levels() {
+        for level in simd::levels() {
             for data in &kernels {
                 let mut c = DenseMatrix::from_fn(coo.rows(), k, |_, _| 11.0f32);
                 prop_assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));

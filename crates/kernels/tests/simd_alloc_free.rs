@@ -2,7 +2,7 @@
 //! allocate. The engine's workspace audit only sees the buffers it owns,
 //! so this test counts every heap allocation the `simd` SpMM and SpMV
 //! entry points make, through a counting global allocator, for every
-//! format they support and at both levels the host can run.
+//! format they support and at every level the host runs.
 //!
 //! The allocator counts only on the thread that switches counting on, and
 //! this binary holds a single test.
@@ -12,7 +12,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use spmm_core::{CooMatrix, DenseMatrix, SparseFormat};
-use spmm_kernels::simd::{self, SimdLevel};
+use spmm_kernels::simd;
 use spmm_kernels::FormatData;
 
 struct Counting;
@@ -70,7 +70,7 @@ fn simd_entry_points_allocate_nothing() {
     let mut y = vec![0.0; ROWS];
 
     let mut offenders = Vec::new();
-    for level in [SimdLevel::Scalar, simd::hardware_level()] {
+    for level in simd::levels() {
         for format in SparseFormat::ALL {
             let data = FormatData::from_coo(format, &coo, 4).unwrap();
             // One untimed call first, as the engine warms up, so one-time

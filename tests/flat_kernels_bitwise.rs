@@ -2,18 +2,19 @@
 //! transposed-B and const-`K` SpMM kernels and SpMV, for every format that
 //! has them, serial and two-thread parallel (static and dynamic
 //! schedules), at several `k` (the const-`K` kernels at those in
-//! `SUPPORTED_K`), over the adversarial corpus. Everything runs once with
-//! the portable instantiation (`SimdLevel::Scalar`) and once at the host's
-//! widest level. Every run must match the compensated oracle, and C must
-//! be equal bit for bit between the two: the AVX2+FMA build does the same
+//! `SUPPORTED_K`), over the adversarial corpus. Everything runs once at
+//! every level the host runs (`simd::levels()`: the portable
+//! instantiation first, then AVX2+FMA and AVX-512 where the CPU has
+//! them). Every run must match the compensated oracle, and C must be
+//! equal bit for bit across the levels: the vector builds do the same
 //! unfused operations in the same order. SpMV's y must also equal
 //! `spmm_serial`'s C at k = 1 bit for bit, since SpMV is the `K = 1`
 //! instance of the const-`K` bodies.
 //!
 //! The `simd` variant is the same bodies with a fused multiply-add above
 //! the scalar level, so it gets its own two checks: pinned to
-//! `SimdLevel::Scalar` it equals `spmm_serial` bit for bit, and at the
-//! host's level it equals a fused reference computed here.
+//! `SimdLevel::Scalar` it equals `spmm_serial` bit for bit, and at each
+//! level above it equals a fused reference computed here.
 //!
 //! The SIMD level override is process-global, so this file is its own
 //! test binary, and only its first test touches the override; the `simd`
@@ -141,16 +142,20 @@ fn run_all(level: SimdLevel, failures: &mut Vec<String>) -> Vec<(String, DenseMa
 #[test]
 fn portable_and_host_isa_kernels_agree_bit_for_bit() {
     let mut failures = Vec::new();
+    let levels = simd::levels();
+    assert_eq!(levels[0], SimdLevel::Scalar);
     let portable = run_all(SimdLevel::Scalar, &mut failures);
-    let host = run_all(simd::hardware_level(), &mut failures);
-    simd::set_level_override(None);
-
-    assert_eq!(portable.len(), host.len());
-    for ((label, p), (_, h)) in portable.iter().zip(&host) {
-        if !same_bits(p, h) {
-            failures.push(format!("{label}: C differs between the ISA builds"));
+    for &level in &levels[1..] {
+        let host = run_all(level, &mut failures);
+        assert_eq!(portable.len(), host.len());
+        for ((label, p), (_, h)) in portable.iter().zip(&host) {
+            if !same_bits(p, h) {
+                failures.push(format!("{label}: C differs between the ISA builds"));
+            }
         }
     }
+    simd::set_level_override(None);
+
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     let cases = adversarial_corpus().len();
     assert!(cases >= 20, "only {cases} corpus cases");
@@ -251,7 +256,6 @@ fn fused_reference(
 
 #[test]
 fn simd_at_host_level_is_the_fused_reference() {
-    let level = simd::hardware_level();
     let mut failures = Vec::new();
     let mut cases = 0;
     // The padding and zero entries some formats add or skip are exact
@@ -268,10 +272,12 @@ fn simd_at_host_level_is_the_fused_reference() {
             let data = FormatData::from_coo(format, &case.coo, case.block).unwrap();
             for k in KS {
                 let want = fused_reference(&csr, format == SparseFormat::Bcsr, &b, k);
-                let mut c = DenseMatrix::from_fn(rows, k, |_, _| f64::NAN);
-                assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
-                if c.as_slice() != want.as_slice() {
-                    failures.push(format!("{}/{format}/k={k}/{}", case.name, level.name()));
+                for &level in &simd::levels()[1..] {
+                    let mut c = DenseMatrix::from_fn(rows, k, |_, _| f64::NAN);
+                    assert!(data.spmm_serial_simd_at(level, &b, k, &mut c));
+                    if c.as_slice() != want.as_slice() {
+                        failures.push(format!("{}/{format}/k={k}/{}", case.name, level.name()));
+                    }
                 }
             }
         }
