@@ -254,6 +254,31 @@ pub fn route_string(route: &[SparseFormat]) -> String {
         .join("->")
 }
 
+/// The `from_to` name of a conversion edge (`coo_csr`, `csr_bcsr`, …):
+/// the label of its `convert` span. `coo_coo` is the identity hop that
+/// canonicalises raw COO.
+fn edge_name(from: SparseFormat, to: SparseFormat) -> &'static str {
+    use SparseFormat as F;
+    match (from, to) {
+        (F::Coo, F::Coo) => "coo_coo",
+        (F::Coo, F::Csr) => "coo_csr",
+        (F::Csr, F::Coo) => "csr_coo",
+        (F::Csr, F::Ell) => "csr_ell",
+        (F::Csr, F::Bcsr) => "csr_bcsr",
+        (F::Csr, F::Bell) => "csr_bell",
+        (F::Csr, F::Sell) => "csr_sell",
+        (F::Csr, F::Hyb) => "csr_hyb",
+        (F::Csr, F::Csr5) => "csr_csr5",
+        (F::Ell, F::Coo) => "ell_coo",
+        (F::Bcsr, F::Coo) => "bcsr_coo",
+        (F::Bell, F::Coo) => "bell_coo",
+        (F::Sell, F::Coo) => "sell_coo",
+        (F::Hyb, F::Coo) => "hyb_coo",
+        (F::Csr5, F::Coo) => "csr5_coo",
+        _ => "unregistered",
+    }
+}
+
 /// Cost of one conversion hop, in (relative) bytes of traffic.
 pub type EdgeCost = dyn Fn(SparseFormat, SparseFormat, &MatrixStats) -> f64 + Send + Sync;
 
@@ -422,25 +447,67 @@ impl ConversionGraph {
     ) -> Result<Converted<T, I>, SparseError> {
         let stats = MatrixStats::of_coo(coo).with_block(cfg.block);
         let route = self.route(SparseFormat::Coo, target, &stats)?;
+        let matrix = self.convert_coo_along(coo, &route, target, cfg)?;
+        Ok(Converted { matrix, route })
+    }
+
+    /// Convert a COO matrix to `target` along a route chosen beforehand
+    /// (a plan's), one `convert[<edge>]` span per hop. The route must
+    /// lead from COO to `target` over registered edges; anything else is
+    /// a `NoRoute` before any conversion work starts.
+    pub fn convert_coo_along<T: Scalar, I: Index>(
+        &self,
+        coo: &CooMatrix<T, I>,
+        route: &[SparseFormat],
+        target: SparseFormat,
+        cfg: &ConvertConfig,
+    ) -> Result<AnyMatrix<T, I>, SparseError> {
+        if route.first() != Some(&SparseFormat::Coo) || route.last() != Some(&target) {
+            return Err(SparseError::NoRoute {
+                from: SparseFormat::Coo,
+                to: target,
+            });
+        }
+        if let Some(hop) = route
+            .windows(2)
+            .find(|w| !self.edges.contains(&(w[0], w[1])))
+        {
+            return Err(SparseError::NoRoute {
+                from: hop[0],
+                to: hop[1],
+            });
+        }
         if route.len() == 1 {
             // The identity hop is still the COO "formatting" phase: raw
             // assembly COO (pushed, possibly unsorted with duplicate
             // coordinates) becomes the sorted, merged form the kernels'
             // row-aligned splits require.
+            let _span =
+                spmm_trace::span!("convert", edge_name(SparseFormat::Coo, SparseFormat::Coo));
             let mut out = coo.clone();
             if !out.is_sorted() {
                 out.sort_and_sum_duplicates();
             }
-            return Ok(Converted {
-                matrix: AnyMatrix::Coo(out),
-                route,
-            });
+            return Ok(AnyMatrix::Coo(out));
         }
-        let mut cur = step_from_coo(coo, route[1], cfg)?;
+        // The first hop reads the source by reference.
+        let mut cur = {
+            let _span = spmm_trace::span!("convert", edge_name(route[0], route[1]));
+            match route[1] {
+                SparseFormat::Csr => AnyMatrix::Csr(CsrMatrix::from_coo(coo)),
+                to => {
+                    return Err(SparseError::NoRoute {
+                        from: SparseFormat::Coo,
+                        to,
+                    })
+                }
+            }
+        };
         for &next in &route[2..] {
+            let _span = spmm_trace::span!("convert", edge_name(cur.format(), next));
             cur = step(cur, next, cfg)?;
         }
-        Ok(Converted { matrix: cur, route })
+        Ok(cur)
     }
 
     /// Convert between any two formats along the cheapest route,
@@ -461,24 +528,10 @@ impl ConversionGraph {
         let route = self.route(from, target, &stats)?;
         let mut cur = matrix;
         for &next in &route[1..] {
+            let _span = spmm_trace::span!("convert", edge_name(cur.format(), next));
             cur = step(cur, next, cfg)?;
         }
         Ok(Converted { matrix: cur, route })
-    }
-}
-
-/// Execute the first hop out of COO without cloning the source.
-fn step_from_coo<T: Scalar, I: Index>(
-    coo: &CooMatrix<T, I>,
-    to: SparseFormat,
-    _cfg: &ConvertConfig,
-) -> Result<AnyMatrix<T, I>, SparseError> {
-    match to {
-        SparseFormat::Csr => Ok(AnyMatrix::Csr(CsrMatrix::from_coo(coo))),
-        other => Err(SparseError::NoRoute {
-            from: SparseFormat::Coo,
-            to: other,
-        }),
     }
 }
 

@@ -19,32 +19,46 @@ impl<T: Scalar, I: Index> CsrMatrix<T, I> {
     /// Compress a COO matrix into CSR via a counting sort over rows.
     ///
     /// Runs in `O(rows + nnz)` and preserves the column order within each
-    /// row that the COO matrix has (sorted, for a sorted COO).
+    /// row that the COO matrix has (sorted, for a sorted COO). When the
+    /// rows never decrease — every COO that `from_triplets`, the suite
+    /// generators or the MatrixMarket reader build — the counting sort is
+    /// the identity, so the column and value arrays are copied instead of
+    /// scattered entry by entry.
     pub fn from_coo(coo: &CooMatrix<T, I>) -> Self {
         let rows = coo.rows();
-        let nnz = coo.nnz();
         let mut row_ptr_usize = vec![0usize; rows + 1];
+        let mut row_sorted = true;
+        let mut prev = 0;
         for &r in coo.row_indices() {
-            row_ptr_usize[r.as_usize() + 1] += 1;
+            let r = r.as_usize();
+            row_sorted &= r >= prev;
+            prev = r;
+            row_ptr_usize[r + 1] += 1;
         }
         for i in 0..rows {
             row_ptr_usize[i + 1] += row_ptr_usize[i];
         }
 
-        let mut col_idx = vec![I::default(); nnz];
-        let mut values = vec![T::ZERO; nnz];
-        let mut cursor = row_ptr_usize.clone();
-        for ((&r, &c), &v) in coo
-            .row_indices()
-            .iter()
-            .zip(coo.col_indices())
-            .zip(coo.values())
-        {
-            let slot = cursor[r.as_usize()];
-            col_idx[slot] = c;
-            values[slot] = v;
-            cursor[r.as_usize()] += 1;
-        }
+        let (col_idx, values) = if row_sorted {
+            (coo.col_indices().to_vec(), coo.values().to_vec())
+        } else {
+            let nnz = coo.nnz();
+            let mut col_idx = vec![I::default(); nnz];
+            let mut values = vec![T::ZERO; nnz];
+            let mut cursor = row_ptr_usize.clone();
+            for ((&r, &c), &v) in coo
+                .row_indices()
+                .iter()
+                .zip(coo.col_indices())
+                .zip(coo.values())
+            {
+                let slot = cursor[r.as_usize()];
+                col_idx[slot] = c;
+                values[slot] = v;
+                cursor[r.as_usize()] += 1;
+            }
+            (col_idx, values)
+        };
 
         CsrMatrix {
             rows,
@@ -248,6 +262,27 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![0, 2, 3]
         );
+    }
+
+    #[test]
+    fn row_sorted_coo_is_copied_verbatim() {
+        // Rows in order, columns out of order within a row, and a
+        // duplicate coordinate: the CSR arrays are the COO's, unchanged.
+        let mut coo = CooMatrix::<f64>::new(4, 5);
+        for (r, c, v) in [
+            (0, 4, 1.0),
+            (0, 1, 2.0),
+            (0, 4, 3.0),
+            (2, 3, 4.0),
+            (2, 0, 5.0),
+            (3, 2, 6.0),
+        ] {
+            coo.push(r, c, v).unwrap();
+        }
+        let csr = CsrMatrix::from_coo(&coo);
+        assert_eq!(csr.col_idx(), coo.col_indices());
+        assert_eq!(csr.values(), coo.values());
+        assert_eq!(csr.row_ptr(), &[0, 3, 3, 5, 6]);
     }
 
     #[test]

@@ -230,8 +230,18 @@ impl<T: Scalar> PackedPanels<T> {
         assert!(panel_w > 0, "panel width must be positive");
         let b_rows = b.rows();
         let n_panels = k.div_ceil(panel_w).max(1);
-        let grew = b_rows * k > self.data.capacity() || n_panels + 1 > self.offsets.capacity();
+        let len = b_rows * k;
+        let grew = len > self.data.capacity() || n_panels + 1 > self.offsets.capacity();
         self.data.clear();
+        if len > self.data.capacity() {
+            // One allocation, at the capacity that growing row by row
+            // reaches for a power-of-two panel width, so no intermediate
+            // copies and no larger footprint. An exact-size buffer moved
+            // glibc's dynamic mmap and trim thresholds so that freed packs
+            // went back to the OS and were faulted in again on the next
+            // prepare.
+            self.data.reserve_exact(len.next_power_of_two());
+        }
         self.offsets.clear();
         self.offsets.push(0);
         for p in 0..n_panels {

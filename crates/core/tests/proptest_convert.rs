@@ -31,7 +31,10 @@ fn sparse_matrix() -> impl Strategy<Value = CooMatrix<f64>> {
 /// order so duplicate coordinates and unsorted column runs survive. Half
 /// the cases add one very long row: every column twice, in descending
 /// order, so it overflows any HYB width the other rows pick and can split
-/// a duplicate pair between the ELL part and the tail.
+/// a duplicate pair between the ELL part and the tail. Half the cases are
+/// stably sorted by row only, so the rows never decrease while columns
+/// stay out of order and duplicates stay unsummed: `CsrMatrix::from_coo`
+/// copies those and scatters the rest.
 fn raw_triplets() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64)>)> {
     (1usize..12, 1usize..12).prop_flat_map(|(r, c)| {
         (
@@ -40,10 +43,14 @@ fn raw_triplets() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64
                 0..40,
             ),
             proptest::collection::vec(0..r, 0..2),
+            0..2u8,
         )
-            .prop_map(move |(mut trips, long_row)| {
+            .prop_map(move |(mut trips, long_row, row_sorted)| {
                 for &i in &long_row {
                     trips.extend((0..2 * c).rev().map(|j| (i, j % c, 0.5 + j as f64)));
+                }
+                if row_sorted == 1 {
+                    trips.sort_by_key(|t| t.0);
                 }
                 (r, c, trips)
             })
@@ -155,6 +162,26 @@ proptest! {
             back.sort_and_sum_duplicates();
             prop_assert!(back == canonical.to_coo(), "{target} lost duplicate sums");
         }
+    }
+
+    /// CSR from raw input is the stable sort of the entries by row, bit
+    /// for bit: the copy path (rows never decrease) and the scatter path
+    /// (they do) build the same arrays.
+    #[test]
+    fn csr_from_raw_coo_is_the_stable_row_sort(shape in raw_triplets()) {
+        let (rows, cols, mut trips) = shape.clone();
+        let csr = CsrMatrix::from_coo(&push_raw(rows, cols, &trips));
+        trips.sort_by_key(|t| t.0);
+        let mut row_ptr = vec![0usize; rows + 1];
+        for &(r, _, _) in &trips {
+            row_ptr[r + 1] += 1;
+        }
+        for i in 0..rows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let col_idx: Vec<usize> = trips.iter().map(|t| t.1).collect();
+        let values: Vec<f64> = trips.iter().map(|t| t.2).collect();
+        prop_assert_eq!(csr, CsrMatrix::from_parts(rows, cols, row_ptr, col_idx, values));
     }
 
     /// HYB on raw input, at width 0, the automatic width, the fullest row

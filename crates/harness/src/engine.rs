@@ -204,6 +204,19 @@ fn strategy(params: &Params) -> ExecStrategy {
     }
 }
 
+/// A B that does not fit an `a_cols`-column matrix at `k` is an
+/// [`HarnessError::Operand`], not a kernel assertion.
+fn check_b(a_cols: usize, k: usize, b: &DenseMatrix<f64>) -> Result<(), HarnessError> {
+    if b.rows() != a_cols || b.cols() < k {
+        return Err(HarnessError::Operand(format!(
+            "B is {}x{} but A has {a_cols} columns and k = {k}",
+            b.rows(),
+            b.cols()
+        )));
+    }
+    Ok(())
+}
+
 /// Owns a [`Plan`] plus every buffer it needs; `prepare` once, `execute`
 /// N times with zero steady-state allocations.
 pub struct Executor {
@@ -226,8 +239,8 @@ impl Executor {
         }
     }
 
-    /// The plan being executed. After `prepare`, `plan.route` is the
-    /// route the conversion graph actually took.
+    /// The plan being executed. `prepare` converts along `plan.route`
+    /// as planned; it never routes again.
     pub fn plan(&self) -> &Plan {
         &self.plan
     }
@@ -253,7 +266,11 @@ impl Executor {
     }
 
     /// Convert the matrix along the planned route and grow every buffer
-    /// the strategy needs. This is the benchmark's "formatting" phase.
+    /// the strategy needs. This is the benchmark's "formatting" phase:
+    /// one `convert[<edge>]` span per route edge, then one `acquire`
+    /// span. A route that does not lead from COO to the planned format
+    /// is a [`HarnessError::Conversion`]; a B that does not fit the
+    /// matrix at `k` is a [`HarnessError::Operand`].
     pub fn prepare(
         &mut self,
         coo: &CooMatrix<f64>,
@@ -261,11 +278,13 @@ impl Executor {
     ) -> Result<(), HarnessError> {
         let _span = spmm_trace::span!("prepare");
         let params = &self.plan.params;
-        let (data, route) = FormatData::from_coo_routed(params.format, coo, params.block)
+        if self.plan.strategy != ExecStrategy::Spmv {
+            check_b(coo.cols(), params.k, b)?;
+        }
+        let data = FormatData::from_coo_along(params.format, coo, &self.plan.route, params.block)
             .map_err(HarnessError::Conversion)?;
-        // The graph is shared state: record the route it actually took.
-        self.plan.route = route;
 
+        let _acquire = spmm_trace::span!("acquire");
         match self.plan.strategy {
             ExecStrategy::Cpu { variant, .. } => {
                 match variant {
@@ -305,6 +324,17 @@ impl Executor {
             .data
             .as_ref()
             .ok_or_else(|| HarnessError::Calc("calc() before format()".into()))?;
+        if self.plan.strategy == ExecStrategy::Spmv {
+            if x.len() != data.cols() {
+                return Err(HarnessError::Operand(format!(
+                    "x has {} entries but A has {} columns",
+                    x.len(),
+                    data.cols()
+                )));
+            }
+        } else {
+            check_b(data.cols(), k, b)?;
+        }
         match self.plan.strategy {
             ExecStrategy::Cpu { parallel, variant } => {
                 let (pool, threads, schedule) = (global_pool(), params.threads, params.schedule);
@@ -440,6 +470,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::params::Params;
+    use spmm_core::{ConversionGraph, ConvertConfig, SparseError};
 
     fn props_and_coo() -> (CooMatrix<f64>, MatrixProperties) {
         let mut trips = Vec::new();
@@ -565,5 +596,114 @@ mod tests {
             exec.execute(&b, &[]),
             Err(HarnessError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn a_mis_shaped_operand_is_a_typed_error() {
+        let (coo, props) = props_and_coo();
+        let run = |variant, b: &DenseMatrix<f64>, exec_b: &DenseMatrix<f64>| {
+            let params = Params {
+                variant,
+                k: 16,
+                ..Params::default()
+            };
+            let mut exec = Executor::new(Planner::new().plan(&props, &params).unwrap());
+            let prepared = exec.prepare(&coo, b);
+            (prepared, exec.execute(exec_b, &[]))
+        };
+        let fits = DenseMatrix::from_fn(48, 16, |i, j| (i + j) as f64);
+        let short_rows = DenseMatrix::from_fn(47, 16, |i, j| (i + j) as f64);
+        let narrow = DenseMatrix::from_fn(48, 15, |i, j| (i + j) as f64);
+        for variant in [Variant::Normal, Variant::TransposedB, Variant::Tiled] {
+            for bad in [&short_rows, &narrow] {
+                let (prepared, executed) = run(variant, bad, bad);
+                assert!(
+                    matches!(prepared, Err(HarnessError::Operand(_))),
+                    "{variant:?}"
+                );
+                assert!(matches!(executed, Err(HarnessError::Calc(_))));
+                let (prepared, executed) = run(variant, &fits, bad);
+                assert!(prepared.is_ok());
+                assert!(
+                    matches!(executed, Err(HarnessError::Operand(_))),
+                    "{variant:?}"
+                );
+            }
+        }
+
+        let spmv = Params {
+            op: Op::Spmv,
+            ..Params::default()
+        };
+        let mut exec = Executor::new(Planner::new().plan(&props, &spmv).unwrap());
+        exec.prepare(&coo, &fits).unwrap();
+        assert!(matches!(
+            exec.execute(&fits, &[1.0; 47]),
+            Err(HarnessError::Operand(_))
+        ));
+        exec.execute(&fits, &[1.0; 48]).unwrap();
+    }
+
+    #[test]
+    fn a_route_that_does_not_reach_the_format_fails_in_prepare() {
+        use SparseFormat as F;
+        let (coo, props) = props_and_coo();
+        let params = Params {
+            format: F::Bcsr,
+            ..Params::default()
+        };
+        let plan = Planner::new().plan(&props, &params).unwrap();
+        let b = DenseMatrix::from_fn(48, params.k, |i, j| (i + j) as f64);
+        for route in [
+            vec![],
+            vec![F::Csr, F::Bcsr],
+            vec![F::Coo, F::Csr],
+            vec![F::Coo, F::Csr, F::Ell, F::Bcsr],
+            vec![F::Coo, F::Bcsr],
+        ] {
+            let mut exec = Executor::new(Plan {
+                route: route.clone(),
+                ..plan.clone()
+            });
+            assert!(
+                matches!(
+                    exec.prepare(&coo, &b),
+                    Err(HarnessError::Conversion(SparseError::NoRoute { .. }))
+                ),
+                "{route:?}"
+            );
+            assert!(exec.data().is_none());
+        }
+    }
+
+    #[test]
+    fn prepare_follows_the_route_the_stats_would_pick() {
+        let cfg = |block| ConvertConfig {
+            block,
+            sell_c: spmm_kernels::dispatch::SELL_SLICE_HEIGHT,
+            sell_sigma: spmm_kernels::dispatch::SELL_SIGMA,
+        };
+        for name in ["cant", "torso1"] {
+            let coo = spmm_matgen::by_name(name).unwrap().generate(0.02, 1);
+            let props = coo.properties();
+            for format in SparseFormat::ALL {
+                let params = Params {
+                    format,
+                    k: 8,
+                    ..Params::default()
+                };
+                let plan = Planner::new().plan(&props, &params).unwrap();
+                let derived = ConversionGraph::shared()
+                    .convert_coo(&coo, format, &cfg(params.block))
+                    .unwrap();
+                assert_eq!(plan.route, derived.route, "{name} {format}");
+
+                let b = DenseMatrix::from_fn(coo.cols(), 8, |i, j| ((i + j) % 3) as f64);
+                let mut exec = Executor::new(plan.clone());
+                exec.prepare(&coo, &b).unwrap();
+                assert_eq!(exec.plan().route, plan.route, "{name} {format}");
+                assert_eq!(exec.data().unwrap().format(), format);
+            }
+        }
     }
 }

@@ -34,6 +34,8 @@ pub enum HarnessError {
     Unsupported(String),
     /// The calc phase failed mid-run.
     Calc(String),
+    /// An operand (B or the SpMV `x`) does not fit the matrix or `k`.
+    Operand(String),
     /// Writing an output artifact (trace file, results) failed.
     Io {
         /// Path being written.
@@ -58,6 +60,7 @@ impl fmt::Display for HarnessError {
             HarnessError::Conversion(e) => write!(f, "conversion failed: {e}"),
             HarnessError::Unsupported(msg) => f.write_str(msg),
             HarnessError::Calc(msg) => f.write_str(msg),
+            HarnessError::Operand(msg) => write!(f, "operand shape mismatch: {msg}"),
             HarnessError::Io { path, detail } => write!(f, "cannot write {path}: {detail}"),
         }
     }

@@ -9,7 +9,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use spmm_core::{CooMatrix, DenseMatrix, SparseFormat};
 use spmm_harness::benchmark::{run, SuiteBenchmark};
 use spmm_harness::json::Json;
-use spmm_harness::Params;
+use spmm_harness::{Executor, Params, Planner};
 use spmm_kernels::FormatData;
 use spmm_trace::{MetricsSnapshot, TraceLevel};
 
@@ -134,4 +134,57 @@ fn disabled_tracing_records_nothing_through_the_harness() {
     // either way.
     assert!(report.attained_fraction.is_some());
     assert_eq!(report.verified, Some(true));
+}
+
+#[test]
+fn prepare_spans_are_the_route_edges_and_the_acquire() {
+    if !spmm_trace::COMPILED_IN {
+        return;
+    }
+    let _g = guard();
+    let coo = CooMatrix::from_triplets(
+        6,
+        5,
+        &[
+            (0, 0, 1.0),
+            (0, 4, 2.0),
+            (2, 1, 3.0),
+            (3, 3, 4.0),
+            (5, 2, 5.0),
+        ],
+    )
+    .unwrap();
+    let b = DenseMatrix::from_fn(5, 4, |i, j| (i + j) as f64);
+    for format in SparseFormat::ALL {
+        let params = Params {
+            format,
+            k: 4,
+            block: 2,
+            ..Params::default()
+        };
+        let plan = Planner::new().plan(&coo.properties(), &params).unwrap();
+        let mut want: Vec<String> = match plan.route.as_slice() {
+            [only] => vec![format!("convert[{0}_{0}]", only.name())],
+            route => route
+                .windows(2)
+                .map(|w| format!("convert[{}_{}]", w[0].name(), w[1].name()))
+                .collect(),
+        };
+        want.push("acquire".into());
+
+        let mut exec = Executor::new(plan);
+        let start = spmm_trace::span_count();
+        spmm_trace::set_trace_level(TraceLevel::Spans);
+        let prepared = exec.prepare(&coo, &b);
+        spmm_trace::set_trace_level(TraceLevel::Off);
+        prepared.unwrap();
+
+        let tree = spmm_trace::phase_tree(&spmm_trace::spans_since(start));
+        let [prepare] = tree.as_slice() else {
+            panic!("{format}: one root span expected, got {tree:?}");
+        };
+        assert_eq!(prepare.key, "prepare");
+        let got: Vec<&str> = prepare.children.iter().map(|c| c.key.as_str()).collect();
+        assert_eq!(got, want, "{format}");
+    }
 }

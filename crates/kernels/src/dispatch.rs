@@ -22,6 +22,16 @@ pub const SELL_SLICE_HEIGHT: usize = 8;
 /// Default SELL-C-σ sorting window used by [`FormatData::from_coo`].
 pub const SELL_SIGMA: usize = 64;
 
+/// The conversion parameters for block size `block` and the suite's
+/// SELL-C-σ defaults.
+fn convert_config(block: usize) -> ConvertConfig {
+    ConvertConfig {
+        block,
+        sell_c: SELL_SLICE_HEIGHT,
+        sell_sigma: SELL_SIGMA,
+    }
+}
+
 /// A sparse matrix formatted into one of the suite's formats, with uniform
 /// kernel entry points.
 #[derive(Debug, Clone)]
@@ -45,36 +55,43 @@ pub enum FormatData<T, I = usize> {
 }
 
 impl<T: Scalar, I: Index> FormatData<T, I> {
-    /// Format `coo` into `format`. `block` is the BCSR/BELL block size
-    /// (ignored by the other formats — the suite's `-b` flag semantics).
+    /// Format `coo` into `format` along the cheapest route for its
+    /// statistics. `block` is the BCSR/BELL block size (ignored by the
+    /// other formats — the suite's `-b` flag semantics).
     pub fn from_coo(
         format: SparseFormat,
         coo: &CooMatrix<T, I>,
         block: usize,
     ) -> Result<Self, SparseError> {
-        Ok(Self::from_coo_routed(format, coo, block)?.0)
+        let converted =
+            ConversionGraph::shared().convert_coo(coo, format, &convert_config(block))?;
+        Ok(Self::recorded(converted.matrix))
     }
 
-    /// [`FormatData::from_coo`] that also reports the conversion route the
-    /// graph chose (plan metadata for reports).
-    pub fn from_coo_routed(
+    /// Format `coo` into `format` along `route`, a route planned
+    /// beforehand: no statistics pass and no route search. A route that
+    /// does not lead from COO to `format` over registered edges is a
+    /// `NoRoute`.
+    pub fn from_coo_along(
         format: SparseFormat,
         coo: &CooMatrix<T, I>,
+        route: &[SparseFormat],
         block: usize,
-    ) -> Result<(Self, Vec<SparseFormat>), SparseError> {
-        let _span = spmm_trace::span!("convert", format.name());
-        let converted = ConversionGraph::shared().convert_coo(
+    ) -> Result<Self, SparseError> {
+        let matrix = ConversionGraph::shared().convert_coo_along(
             coo,
+            route,
             format,
-            &ConvertConfig {
-                block,
-                sell_c: SELL_SLICE_HEIGHT,
-                sell_sigma: SELL_SIGMA,
-            },
+            &convert_config(block),
         )?;
-        let data: FormatData<T, I> = converted.matrix.into();
-        spmm_core::traffic::record_footprint(format.name(), &data);
-        Ok((data, converted.route))
+        Ok(Self::recorded(matrix))
+    }
+
+    /// Wrap a freshly converted matrix, recording its footprint.
+    fn recorded(matrix: AnyMatrix<T, I>) -> Self {
+        let data: FormatData<T, I> = matrix.into();
+        spmm_core::traffic::record_footprint(data.format().name(), &data);
+        data
     }
 
     /// Record one SpMM kernel call in the metrics registry: call count,
