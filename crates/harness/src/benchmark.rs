@@ -177,8 +177,8 @@ pub struct SuiteBenchmark {
     coo: CooMatrix<f64>,
     properties: MatrixProperties,
     b: DenseMatrix<f64>,
-    /// SpMV operand (first column of B), for `--op spmv`.
-    x: Vec<f64>,
+    /// SpMV operand (first column of B, `cols × 1`), for `--op spmv`.
+    x: DenseMatrix<f64>,
     params: Params,
     exec: Option<Executor>,
 }
@@ -188,7 +188,7 @@ impl SuiteBenchmark {
     pub fn new(matrix_name: &str, coo: CooMatrix<f64>, params: Params) -> Self {
         let b = spmm_matgen::gen::dense_b(coo.cols(), params.k, params.seed ^ 0xB);
         let properties = coo.properties();
-        let x = (0..coo.cols()).map(|i| b.get(i, 0)).collect();
+        let x = DenseMatrix::from_fn(coo.cols(), 1, |i, _| b.get(i, 0));
         SuiteBenchmark {
             matrix_name: matrix_name.to_string(),
             coo,
@@ -280,17 +280,16 @@ impl SpmmBenchmark for SuiteBenchmark {
             .exec
             .as_mut()
             .ok_or_else(|| HarnessError::Calc("calc() before format()".into()))?;
-        exec.execute(&self.b, &self.x)
+        exec.execute(&self.b, self.x.as_slice())
     }
 
     fn verify(&self) -> Result<(), VerifyError> {
         let tol = suggested_tolerance::<f64>(self.properties.max_row_nnz.max(1));
         let exec = self.exec.as_ref().expect("format() ran");
         if self.params.op == Op::Spmv {
-            let expected = self.coo.spmv_reference(&self.x);
             let y = exec.y();
-            let got = DenseMatrix::from_vec(y.len(), 1, y.to_vec()).expect("vector reshapes");
-            let want = DenseMatrix::from_vec(expected.len(), 1, expected).expect("vector reshapes");
+            let got = DenseMatrix::from_fn(y.len(), 1, |i, _| y[i]);
+            let want = self.coo.spmm_reference(&self.x);
             return verify(&got, &want, tol);
         }
         let reference = self.coo.spmm_reference_k(&self.b, self.params.k);

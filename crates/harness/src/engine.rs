@@ -441,7 +441,7 @@ impl Executor {
             }
             ExecStrategy::Spmv => {
                 let view = self.ws.split();
-                let y = view.y.as_mut_slice();
+                let y = view.y;
                 let ran = match (params.backend, params.variant) {
                     (Backend::Serial, Variant::Normal) => data.spmv_serial(x, y),
                     (Backend::Serial, Variant::Simd) => {

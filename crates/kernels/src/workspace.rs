@@ -9,6 +9,11 @@
 //! counted in the `spmm-trace` metrics registry (`workspace.alloc_bytes`,
 //! `workspace.alloc_count`, `workspace.reuse_count`), which is how the
 //! harness asserts the timed loop performs zero allocations.
+//!
+//! Every dense buffer here (C, y, the transposed B and the pack) is a
+//! [`DenseMatrix`] or [`PackedPanels`] and so starts on a 64-byte boundary:
+//! the kernels' vector loads and stores never split a cache line because of
+//! where the heap happened to put a buffer.
 
 use std::ops::Range;
 
@@ -34,7 +39,7 @@ pub struct Workspace<T> {
     c: DenseMatrix<T>,
     bt: DenseMatrix<T>,
     packed: PackedPanels<T>,
-    y: Vec<T>,
+    y: DenseMatrix<T>,
     partition: Vec<Range<usize>>,
 }
 
@@ -51,7 +56,7 @@ impl<T: Scalar> Workspace<T> {
             c: DenseMatrix::zeros(0, 0),
             bt: DenseMatrix::zeros(0, 0),
             packed: PackedPanels::empty(),
-            y: Vec::new(),
+            y: DenseMatrix::zeros(0, 0),
             partition: Vec::new(),
         }
     }
@@ -75,17 +80,15 @@ impl<T: Scalar> Workspace<T> {
     }
 
     /// Acquire the SpMV output vector at `rows`, zeroed.
-    pub fn acquire_y(&mut self, rows: usize) -> &mut Vec<T> {
-        let grew = rows > self.y.capacity();
+    pub fn acquire_y(&mut self, rows: usize) -> &mut [T] {
+        let grew = self.y.reset(rows, 1);
         note(grew, rows * std::mem::size_of::<T>());
-        self.y.clear();
-        self.y.resize(rows, T::ZERO);
-        &mut self.y
+        self.y.as_mut_slice()
     }
 
     /// The SpMV output as last produced.
     pub fn y(&self) -> &[T] {
-        &self.y
+        self.y.as_slice()
     }
 
     /// Transpose `b` into the workspace's scratch (Study 8's pre-pass).
@@ -142,7 +145,7 @@ impl<T: Scalar> Workspace<T> {
     pub fn split(&mut self) -> WorkspaceView<'_, T> {
         WorkspaceView {
             c: &mut self.c,
-            y: &mut self.y,
+            y: self.y.as_mut_slice(),
             bt: &self.bt,
             packed: &self.packed,
             partition: &self.partition,
@@ -156,7 +159,7 @@ pub struct WorkspaceView<'a, T> {
     /// Output matrix (mutable).
     pub c: &'a mut DenseMatrix<T>,
     /// SpMV output (mutable).
-    pub y: &'a mut Vec<T>,
+    pub y: &'a mut [T],
     /// Transposed B scratch.
     pub bt: &'a DenseMatrix<T>,
     /// Packed B panels.
@@ -212,6 +215,25 @@ mod tests {
         // Re-acquiring with the same shapes reuses the buffers.
         assert_eq!(ws.acquire_bt(&b), &b.transposed());
         assert_eq!(ws.acquire_packed(&b, 4, 2), &PackedPanels::pack(&b, 4, 2));
+    }
+
+    fn starts_on_a_cache_line<T>(s: &[T]) -> bool {
+        (s.as_ptr() as usize).is_multiple_of(64)
+    }
+
+    #[test]
+    fn every_acquired_buffer_starts_on_a_cache_line() {
+        let b = DenseMatrix::from_fn(37, 48, |i, j| (i * 48 + j) as f64);
+        let mut ws: Workspace<f64> = Workspace::new();
+        for rows in [37, 101, 5] {
+            assert!(starts_on_a_cache_line(ws.acquire_c(rows, 48).as_slice()));
+            assert!(starts_on_a_cache_line(ws.acquire_y(rows)));
+            assert!(starts_on_a_cache_line(ws.acquire_bt(&b).as_slice()));
+            for w in [8, 16, 24] {
+                let packed = ws.acquire_packed(&b, 40, w);
+                assert!((0..packed.n_panels()).all(|p| starts_on_a_cache_line(packed.panel(p))));
+            }
+        }
     }
 
     #[test]
